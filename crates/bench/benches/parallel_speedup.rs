@@ -1,15 +1,14 @@
 //! Criterion micro-version of Figure 6: wall-clock time of the serial A*
 //! versus the parallel A* on 2, 4 and 8 PPE threads for one medium random
 //! graph (CCR = 1), in both duplicate-detection modes (the paper's private
-//! CLOSED lists vs. the sharded global table) and both per-PPE state stores
-//! (the default delta arena vs. the eager clone-per-generation baseline).
+//! CLOSED lists vs. the sharded global table).
 //! The experiment binary `figure6` produces the full speedup curves per CCR.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use optsched_bench::{workload_problem, ExperimentOptions};
-use optsched_core::{AStarScheduler, StoreKind};
+use optsched_core::AStarScheduler;
 use optsched_parallel::{DuplicateDetection, ParallelAStarScheduler, ParallelConfig};
 
 fn bench_parallel(c: &mut Criterion) {
@@ -24,17 +23,14 @@ fn bench_parallel(c: &mut Criterion) {
     group.bench_function("serial", |b| {
         b.iter(|| black_box(AStarScheduler::new(&problem).run().schedule_length))
     });
-    for (label, mode, store) in [
-        ("parallel", DuplicateDetection::ShardedGlobal, StoreKind::DeltaArena),
-        ("parallel_local_closed", DuplicateDetection::Local, StoreKind::DeltaArena),
-        ("parallel_eager_store", DuplicateDetection::ShardedGlobal, StoreKind::EagerClone),
+    for (label, mode) in [
+        ("parallel", DuplicateDetection::ShardedGlobal),
+        ("parallel_local_closed", DuplicateDetection::Local),
     ] {
         for q in [2usize, 4, 8] {
             group.bench_with_input(BenchmarkId::new(label, q), &q, |b, &q| {
                 b.iter(|| {
-                    let cfg = ParallelConfig::exact(q)
-                        .with_duplicate_detection(mode)
-                        .with_store(store);
+                    let cfg = ParallelConfig::exact(q).with_duplicate_detection(mode);
                     black_box(
                         ParallelAStarScheduler::new(&problem, cfg).run().schedule_length(),
                     )

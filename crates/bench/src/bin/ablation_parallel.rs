@@ -4,27 +4,26 @@
 //! exponentially decreasing schedule T = v/2, v/4, …), the heuristic
 //! (paper vs. tight vs. none), and — beyond the paper — the duplicate
 //! detection mode (per-PPE CLOSED lists vs. the sharded global table, with
-//! a shard-count sweep) and the per-PPE state store (delta arena vs. the
-//! eager clone-per-generation baseline).
+//! a shard-count sweep).
 //!
 //! Reported per configuration: wall-clock time, total states expanded across
 //! all PPEs (the redundant-work measure), cross-PPE duplicates dropped by
 //! the global table, the peak number of live full states any PPE held (the
 //! state-store memory measure), the arena-lifecycle counters (peak live
 //! records and records reclaimed by the chain GC, summed across PPEs), the
-//! peak number of *records* in flight between PPEs (a full clone costs `v`
+//! peak number of *records* in flight between PPEs (a snapshot costs `v`
 //! records, a shipped delta chain only its depth), and the load imbalance
 //! between the busiest and laziest PPE.  Every configuration must return
 //! the optimal schedule length.
 //!
-//! Besides the CSV, the local-vs-sharded and arena-vs-eager comparisons are
-//! written as `results/BENCH_parallel.json` datapoints (the before/after
-//! records of the sharded-CLOSED-table and arena-store changes).
+//! Besides the CSV, the local-vs-sharded comparison is written as
+//! `results/BENCH_parallel.json` datapoints (the before/after record of the
+//! sharded CLOSED table).
 //!
 //! Usage: `cargo run --release -p optsched-bench --bin ablation_parallel -- [--sizes ...] [--budget-ms N]`
 
 use optsched_bench::{workload_problem, CsvWriter, ExperimentOptions};
-use optsched_core::{AStarScheduler, HeuristicKind, SearchLimits, SearchOutcome, StoreKind};
+use optsched_core::{AStarScheduler, HeuristicKind, SearchLimits, SearchOutcome};
 use optsched_parallel::{DuplicateDetection, ParallelAStarScheduler, ParallelConfig};
 use optsched_procnet::Topology;
 
@@ -63,14 +62,10 @@ fn main() {
 
         let base = ParallelConfig { num_ppes: q, limits, ..Default::default() };
         let configs: Vec<(String, ParallelConfig)> = vec![
-            ("fully connected PPEs (arena store)".to_string(), base),
+            ("fully connected PPEs".to_string(), base),
             (
                 "local CLOSED lists (paper design)".to_string(),
                 base.with_duplicate_detection(DuplicateDetection::Local),
-            ),
-            (
-                "eager clone store (PR 3 baseline)".to_string(),
-                base.with_store(StoreKind::EagerClone),
             ),
             (
                 "sharded global CLOSED, 1 shard".to_string(),
@@ -189,16 +184,14 @@ fn main() {
                 format!("{imbalance:.3}"),
             ]);
             // The before/after datapoints — local vs. sharded CLOSED (PR 2)
-            // and eager vs. arena store (PR 4) — are the configurations that
-            // differ from `base` only in that one knob (matched on the
-            // configuration itself, not the display label, so renames cannot
-            // drop a datapoint).  `base` is the default: sharded + arena.
+            // — are the configurations that differ from `base` only in that
+            // one knob (matched on the configuration itself, not the display
+            // label, so renames cannot drop a datapoint).  `base` is the
+            // default: sharded.
             let mode_key = if cfg == base {
                 Some("sharded")
             } else if cfg == base.with_duplicate_detection(DuplicateDetection::Local) {
                 Some("local")
-            } else if cfg == base.with_store(StoreKind::EagerClone) {
-                Some("eager")
             } else {
                 None
             };
@@ -235,7 +228,7 @@ fn main() {
         Ok(path) => println!("\nwrote {path}"),
         Err(e) => eprintln!("could not write results CSV: {e}"),
     }
-    // The sharded-CLOSED and arena-store before/after records (see README).
+    // The sharded-CLOSED before/after records (see README).
     let json = format!("[\n{}\n]\n", bench_json.join(",\n"));
     match std::fs::create_dir_all("results")
         .and_then(|()| std::fs::write("results/BENCH_parallel.json", json))

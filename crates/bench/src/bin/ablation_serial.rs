@@ -1,16 +1,12 @@
-//! Before/after measurement of the arena-backed state store on the serial
-//! schedulers (the engine-refactor acceptance record).
+//! Cost profile of the arena-backed state store on the serial schedulers.
 //!
 //! Every serial family (A*, Aε*, Chen & Yu, exhaustive) is dispatched
-//! through the facade's scheduler registry twice per instance: once with the
-//! pre-refactor `eager` clone-per-generation store and once with the delta
-//! `arena`.  Both runs are bit-identical searches (same optimum, same
-//! expansion counts — asserted); what changes is the cost profile, recorded
-//! per run as wall-clock time, the peak number of live fully materialised
-//! states (the allocation proxy), and — since the arena became refcounted —
-//! the record-lifecycle counters: peak live arena records, records reclaimed
-//! by the chain GC, deltas replayed during materialisation, and the replay
-//! path-cache hits that cut those replays short.
+//! through the facade's scheduler registry once per instance and recorded
+//! as wall-clock time, the peak number of live fully materialised states
+//! (the allocation proxy) and the record-lifecycle counters: peak live arena
+//! records, records reclaimed by the chain GC, deltas replayed during
+//! materialisation, and the replay path-cache hits that cut those replays
+//! short.
 //!
 //! Since the `seed_incumbent` knob exists (the scheduling service's
 //! default), the A* and Chen & Yu rows are additionally measured *seeded*:
@@ -25,10 +21,9 @@
 
 use optsched::registry::{SchedulerRegistry, SchedulerSpec};
 use optsched_bench::{workload_problem, write_json_rows, CsvWriter, ExperimentOptions};
-use optsched_core::{SearchLimits, SearchOutcome, StoreKind};
+use optsched_core::{SearchLimits, SearchOutcome};
 
 const FAMILIES: [&str; 4] = ["astar", "aeps", "chenyu", "exhaustive"];
-const STORES: [StoreKind; 2] = [StoreKind::EagerClone, StoreKind::DeltaArena];
 /// Families measured a second time with the seeded incumbent (the service
 /// path): the ones the satellite task names — A* and the Chen & Yu baseline.
 const SEEDED_FAMILIES: [&str; 2] = ["astar", "chenyu"];
@@ -45,11 +40,11 @@ fn main() {
     let ccr = 1.0;
     let limits = SearchLimits { max_millis: opts.budget_ms, ..Default::default() };
     let mut csv = CsvWriter::new(
-        "size,ccr,scheduler,store,seeded,schedule_length,optimal,expanded,generated,peak_live_states,peak_live_records,reclaimed_records,replayed_deltas,path_cache_hits,max_open_size,time_ms,timed_out",
+        "size,ccr,scheduler,seeded,schedule_length,optimal,expanded,generated,peak_live_states,peak_live_records,reclaimed_records,replayed_deltas,path_cache_hits,max_open_size,time_ms,timed_out",
     );
     let mut json_rows: Vec<String> = Vec::new();
 
-    println!("Serial store ablation — eager clone-per-generation vs. delta arena (CCR = {ccr})");
+    println!("Serial schedulers on the delta arena (CCR = {ccr})");
     for &size in &opts.sizes {
         let problem = workload_problem(size, ccr, &opts);
         println!(
@@ -58,8 +53,8 @@ fn main() {
             problem.upper_bound()
         );
         println!(
-            "{:<12} {:>7} {:>7} | {:>10} {:>12} {:>12} {:>16} {:>12} {:>10} {:>12}",
-            "scheduler", "store", "seeded", "length", "expanded", "generated",
+            "{:<12} {:>7} | {:>10} {:>12} {:>12} {:>16} {:>12} {:>10} {:>12}",
+            "scheduler", "seeded", "length", "expanded", "generated",
             "peak live states", "peak recs", "reclaimed", "time ms"
         );
 
@@ -70,112 +65,91 @@ fn main() {
             .chain(SEEDED_FAMILIES.iter().map(|&f| (f, true)));
         let mut optimum: Option<u64> = None;
         for (family, seeded) in runs {
-            let mut lengths: Vec<(StoreKind, u64, u64)> = Vec::new();
-            for store in STORES {
-                let spec =
-                    SchedulerSpec { limits, store, seed_incumbent: seeded, ..Default::default() };
-                let registry = SchedulerRegistry::with_spec(spec);
-                let r = registry.get(family).expect("registered family").run(&problem).result;
-                let mut ms = r.elapsed.as_secs_f64() * 1e3;
-                let timed_out = r.outcome == SearchOutcome::LimitReached;
-                // Fast completed runs are re-measured best-of-N (the faster
-                // the run, the more repetitions): at that scale the store
-                // comparison would otherwise drown in scheduling noise.  The
-                // searches are deterministic, so only the clock varies
-                // between repetitions.
-                let reps = if timed_out {
-                    0
-                } else if ms < 50.0 {
-                    12
-                } else if ms < 1000.0 {
-                    4
-                } else {
-                    0
-                };
-                for _ in 0..reps {
-                    let rep =
-                        registry.get(family).expect("registered family").run(&problem).result;
-                    ms = ms.min(rep.elapsed.as_secs_f64() * 1e3);
-                }
-                println!(
-                    "{:<12} {:>7} {:>7} | {:>10} {:>12} {:>12} {:>16} {:>12} {:>10} {:>12}",
-                    family,
-                    store.to_string(),
-                    seeded,
-                    r.schedule_length,
-                    r.stats.expanded,
-                    r.stats.generated,
-                    r.stats.peak_live_states,
-                    r.stats.peak_live_records,
-                    r.stats.reclaimed_records,
-                    if timed_out {
-                        format!(">{}", opts.budget_ms.unwrap_or(0))
-                    } else {
-                        format!("{ms:.1}")
-                    }
-                );
-                csv.row(&[
-                    size.to_string(),
-                    ccr.to_string(),
-                    family.to_string(),
-                    store.to_string(),
-                    seeded.to_string(),
-                    r.schedule_length.to_string(),
-                    r.is_optimal().to_string(),
-                    r.stats.expanded.to_string(),
-                    r.stats.generated.to_string(),
-                    r.stats.peak_live_states.to_string(),
-                    r.stats.peak_live_records.to_string(),
-                    r.stats.reclaimed_records.to_string(),
-                    r.stats.replayed_deltas.to_string(),
-                    r.stats.path_cache_hits.to_string(),
-                    r.stats.max_open_size.to_string(),
-                    format!("{ms:.3}"),
-                    timed_out.to_string(),
-                ]);
-                json_rows.push(format!(
-                    "{{\"size\": {size}, \"ccr\": {ccr}, \"scheduler\": \"{family}\", \
-                     \"store\": \"{store}\", \"seeded\": {seeded}, \"schedule_length\": {}, \
-                     \"optimal\": {}, \
-                     \"expanded\": {}, \"generated\": {}, \"peak_live_states\": {}, \
-                     \"peak_live_records\": {}, \"reclaimed_records\": {}, \
-                     \"replayed_deltas\": {}, \"path_cache_hits\": {}, \
-                     \"max_open_size\": {}, \"time_ms\": {ms:.3}, \"timed_out\": {timed_out}}}",
-                    r.schedule_length,
-                    r.is_optimal(),
-                    r.stats.expanded,
-                    r.stats.generated,
-                    r.stats.peak_live_states,
-                    r.stats.peak_live_records,
-                    r.stats.reclaimed_records,
-                    r.stats.replayed_deltas,
-                    r.stats.path_cache_hits,
-                    r.stats.max_open_size,
-                ));
-                if !timed_out {
-                    lengths.push((store, r.schedule_length, r.stats.expanded));
-                    // Seeding must never change the answer, only the work
-                    // (aeps is excluded: ε > 0 may legitimately return a
-                    // within-bound, non-optimal length).
-                    if family != "aeps" {
-                        match optimum {
-                            None => optimum = Some(r.schedule_length),
-                            Some(len) => assert_eq!(
-                                len, r.schedule_length,
-                                "{family} (seeded={seeded}): optimum changed"
-                            ),
-                        }
-                    }
-                }
+            let spec = SchedulerSpec { limits, seed_incumbent: seeded, ..Default::default() };
+            let registry = SchedulerRegistry::with_spec(spec);
+            let r = registry.get(family).expect("registered family").run(&problem).result;
+            let mut ms = r.elapsed.as_secs_f64() * 1e3;
+            let timed_out = r.outcome == SearchOutcome::LimitReached;
+            // Fast completed runs are re-measured best-of-N (the faster the
+            // run, the more repetitions): at that scale the timing would
+            // otherwise drown in scheduling noise.  The searches are
+            // deterministic, so only the clock varies between repetitions.
+            let reps = if timed_out {
+                0
+            } else if ms < 50.0 {
+                12
+            } else if ms < 1000.0 {
+                4
+            } else {
+                0
+            };
+            for _ in 0..reps {
+                let rep = registry.get(family).expect("registered family").run(&problem).result;
+                ms = ms.min(rep.elapsed.as_secs_f64() * 1e3);
             }
-            // The store is a pure memory/time trade: completed runs must
-            // agree on the optimum and on the expansion counts.
-            if lengths.len() == 2 {
-                assert_eq!(lengths[0].1, lengths[1].1, "{family}: stores disagree on the optimum");
-                assert_eq!(
-                    lengths[0].2, lengths[1].2,
-                    "{family}: stores disagree on expansion counts"
-                );
+            println!(
+                "{:<12} {:>7} | {:>10} {:>12} {:>12} {:>16} {:>12} {:>10} {:>12}",
+                family,
+                seeded,
+                r.schedule_length,
+                r.stats.expanded,
+                r.stats.generated,
+                r.stats.peak_live_states,
+                r.stats.peak_live_records,
+                r.stats.reclaimed_records,
+                if timed_out {
+                    format!(">{}", opts.budget_ms.unwrap_or(0))
+                } else {
+                    format!("{ms:.1}")
+                }
+            );
+            csv.row(&[
+                size.to_string(),
+                ccr.to_string(),
+                family.to_string(),
+                seeded.to_string(),
+                r.schedule_length.to_string(),
+                r.is_optimal().to_string(),
+                r.stats.expanded.to_string(),
+                r.stats.generated.to_string(),
+                r.stats.peak_live_states.to_string(),
+                r.stats.peak_live_records.to_string(),
+                r.stats.reclaimed_records.to_string(),
+                r.stats.replayed_deltas.to_string(),
+                r.stats.path_cache_hits.to_string(),
+                r.stats.max_open_size.to_string(),
+                format!("{ms:.3}"),
+                timed_out.to_string(),
+            ]);
+            json_rows.push(format!(
+                "{{\"size\": {size}, \"ccr\": {ccr}, \"scheduler\": \"{family}\", \
+                 \"seeded\": {seeded}, \"schedule_length\": {}, \"optimal\": {}, \
+                 \"expanded\": {}, \"generated\": {}, \"peak_live_states\": {}, \
+                 \"peak_live_records\": {}, \"reclaimed_records\": {}, \
+                 \"replayed_deltas\": {}, \"path_cache_hits\": {}, \
+                 \"max_open_size\": {}, \"time_ms\": {ms:.3}, \"timed_out\": {timed_out}}}",
+                r.schedule_length,
+                r.is_optimal(),
+                r.stats.expanded,
+                r.stats.generated,
+                r.stats.peak_live_states,
+                r.stats.peak_live_records,
+                r.stats.reclaimed_records,
+                r.stats.replayed_deltas,
+                r.stats.path_cache_hits,
+                r.stats.max_open_size,
+            ));
+            // Seeding must never change the answer, only the work (aeps is
+            // excluded: ε > 0 may legitimately return a within-bound,
+            // non-optimal length).
+            if !timed_out && family != "aeps" {
+                match optimum {
+                    None => optimum = Some(r.schedule_length),
+                    Some(len) => assert_eq!(
+                        len, r.schedule_length,
+                        "{family} (seeded={seeded}): optimum changed"
+                    ),
+                }
             }
         }
     }

@@ -4,30 +4,28 @@
 //! optsched schedule --input graph.json [--procs 4] [--topology ring|mesh|full|chain|star|hypercube]
 //!                   [--algorithm astar|wastar|aeps|chenyu|exhaustive|list|parallel] [--epsilon 0.2]
 //!                   [--weight 1.5] [--seed-incumbent] [--ppes 4] [--dup-detection local|sharded]
-//!                   [--shards N] [--budget-ms N] [--max-expansions N] [--store eager|arena]
-//!                   [--arena-gc on|off] [--path-cache K] [--election-batch B]
+//!                   [--shards N] [--budget-ms N] [--max-expansions N]
 //!                   [--trace-out trace.json] [--gantt] [--json]
 //! optsched generate --nodes 20 --ccr 1.0 [--seed 7] [--output graph.json]
 //! optsched example
 //! optsched levels --input graph.json
 //! optsched serve [--workers 2] [--listen 127.0.0.1:7878] [--admission-budget N]
 //!                [--degrade-threshold N] [--degrade-deadline-ms N] [--cache-capacity N]
-//!                [--cache-max-age-ms N] [--summary-interval-ms N] [--trace-out trace.json]
+//!                [--cache-max-age-ms N] [--summary-interval-ms N] [--no-seed-incumbent]
+//!                [--trace-out trace.json]
 //! optsched batch --requests reqs.jsonl|- [--workers 2] [--min-cache-hits N] [--summary]
 //!                [--admission-budget N] [--degrade-threshold N] [--degrade-deadline-ms N]
-//!                [--cache-capacity N] [--cache-max-age-ms N]
+//!                [--cache-capacity N] [--cache-max-age-ms N] [--no-seed-incumbent]
+//!                [--trace-out trace.json]
 //! optsched requests --count 20 [--seed 7] [--output reqs.jsonl]
 //! ```
 //!
 //! The `--algorithm` value is resolved through the facade's
-//! [`SchedulerRegistry`]; the CLI has no per-algorithm code paths.
-//! `--store eager|arena` selects the state-store layout for the serial
-//! engine *and* the per-PPE arenas of `--algorithm parallel`, whose counter
-//! output includes the store's `peak_live_states` high-water mark.
-//! `--arena-gc on|off` toggles the store's refcounted reclamation of dead
-//! delta chains and `--path-cache K` sizes its materialisation replay cache
-//! (0 disables it); every run prints the resulting `peak_live_records`,
-//! `reclaimed_records` and path-cache hit-rate counters.
+//! [`SchedulerRegistry`]; the CLI has no per-algorithm code paths.  The
+//! text report has an `outcome` line (completed, or which limit stopped the
+//! search) and the state store's `peak_live_records`, `reclaimed_records`
+//! and path-cache hit-rate counters.  Each subcommand rejects a flag that is
+//! not on its usage line.
 //!
 //! Graph files are the `serde_json` serialisation of
 //! [`optsched_taskgraph::TaskGraph`] (produced by `optsched generate`).
@@ -110,12 +108,76 @@ impl Args {
     fn has(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// The first flag (with or without a value) that is not in `known`.
+    fn unknown_flag(&self, known: &[&str]) -> Option<&str> {
+        self.pairs
+            .iter()
+            .map(|(k, _)| k)
+            .chain(&self.flags)
+            .map(String::as_str)
+            .find(|k| !known.contains(k))
+    }
 }
 
+/// Every subcommand with the flags it accepts: exactly those on its
+/// [`USAGE`] line.
+const SUBCOMMANDS: &[(&str, &[&str])] = &[
+    (
+        "schedule",
+        &[
+            "input", "procs", "topology", "algorithm", "epsilon", "weight", "seed-incumbent",
+            "ppes", "dup-detection", "shards", "budget-ms", "max-expansions", "trace-out",
+            "gantt", "json",
+        ],
+    ),
+    ("generate", &["nodes", "ccr", "seed", "output"]),
+    ("levels", &["input"]),
+    ("example", &[]),
+    (
+        "serve",
+        &[
+            "workers", "listen", "admission-budget", "degrade-threshold", "degrade-deadline-ms",
+            "cache-capacity", "cache-max-age-ms", "summary-interval-ms", "no-seed-incumbent",
+            "trace-out",
+        ],
+    ),
+    (
+        "batch",
+        &[
+            "requests", "workers", "min-cache-hits", "summary", "admission-budget",
+            "degrade-threshold", "degrade-deadline-ms", "cache-capacity", "cache-max-age-ms",
+            "no-seed-incumbent", "trace-out",
+        ],
+    ),
+    ("requests", &["count", "seed", "output"]),
+];
+
+const USAGE: &str = "usage:
+  optsched schedule --input graph.json|- [--procs P] [--topology T] [--algorithm A] \\
+                    [--epsilon E] [--weight W] [--seed-incumbent] [--ppes Q] \\
+                    [--dup-detection local|sharded] [--shards N] \\
+                    [--budget-ms N] [--max-expansions N] \\
+                    [--trace-out trace.json] [--gantt] [--json]
+  optsched generate --nodes N --ccr C [--seed S] [--output file.json]
+  optsched levels --input graph.json|-
+  optsched example
+  optsched serve [--workers N] [--listen ADDR:PORT] [--admission-budget N] \\
+                 [--degrade-threshold N] [--degrade-deadline-ms N] [--cache-capacity N] \\
+                 [--cache-max-age-ms N] [--summary-interval-ms N] [--no-seed-incumbent] \\
+                 [--trace-out trace.json]
+  optsched batch --requests file.jsonl|- [--workers N] [--min-cache-hits N] [--summary] \\
+                 [--admission-budget N] [--degrade-threshold N] [--degrade-deadline-ms N] \\
+                 [--cache-capacity N] [--cache-max-age-ms N] [--no-seed-incumbent] \\
+                 [--trace-out trace.json]
+  optsched requests --count N [--seed S] [--output file.jsonl]
+(`--input -` reads the graph JSON from stdin; algorithms: astar|wastar|aeps|chenyu|exhaustive|list|parallel;
+ serve/batch requests may also say \"auto\" to let the deadline-aware portfolio pick;
+ a running serve/batch also answers the admin line {\"type\": \"stats\"};
+ --trace-out writes a Chrome trace-event JSON of the run's spans at exit)";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  optsched schedule --input graph.json|- [--procs P] [--topology T] [--algorithm A] \\\n                    [--epsilon E] [--weight W] [--seed-incumbent] [--ppes Q] \\\n                    [--dup-detection local|sharded] [--shards N] \\\n                    [--budget-ms N] [--max-expansions N] [--store eager|arena] \\\n                    [--arena-gc on|off] [--path-cache K] [--election-batch B] \\\n                    [--trace-out trace.json] [--gantt] [--json]\n  optsched generate --nodes N --ccr C [--seed S] [--output file.json]\n  optsched levels --input graph.json|-\n  optsched example\n  optsched serve [--workers N] [--listen ADDR:PORT] [--admission-budget N] \\\n                 [--degrade-threshold N] [--degrade-deadline-ms N] [--cache-capacity N] \\\n                 [--cache-max-age-ms N] [--summary-interval-ms N] [--trace-out trace.json]\n  optsched batch --requests file.jsonl|- [--workers N] [--min-cache-hits N] [--summary] \\\n                 [--admission-budget N] [--degrade-threshold N] [--cache-capacity N] \\\n                 [--trace-out trace.json]\n  optsched requests --count N [--seed S] [--output file.jsonl]\n(`--input -` reads the graph JSON from stdin; algorithms: astar|wastar|aeps|chenyu|exhaustive|list|parallel;\n serve/batch requests may also say \"auto\" to let the deadline-aware portfolio pick;\n a running serve/batch also answers the admin line {{\"type\": \"stats\"}};\n --trace-out writes a Chrome trace-event JSON of the run's spans at exit)"
-    );
+    eprintln!("{USAGE}");
     ExitCode::FAILURE
 }
 
@@ -151,7 +213,26 @@ fn build_network(args: &Args, default_procs: usize) -> ProcNetwork {
     }
 }
 
-fn report(schedule: &Schedule, graph: &TaskGraph, net: &ProcNetwork, args: &Args, label: &str) {
+/// The `outcome` report line: why the search stopped, and so what the
+/// printed schedule is known to be.
+fn outcome_label(outcome: &SearchOutcome) -> &'static str {
+    match outcome {
+        SearchOutcome::Optimal => "completed (optimal, or within the algorithm's ε/w bound)",
+        SearchOutcome::TargetReached => "target cost reached (not proven optimal)",
+        SearchOutcome::LimitReached => "limit reached (best incumbent, not proven optimal)",
+        SearchOutcome::Exhausted => "search space exhausted",
+        SearchOutcome::Heuristic => "heuristic (no optimality claim)",
+    }
+}
+
+fn report(
+    schedule: &Schedule,
+    graph: &TaskGraph,
+    net: &ProcNetwork,
+    args: &Args,
+    label: &str,
+    outcome: &SearchOutcome,
+) {
     if let Err(e) = schedule.validate(graph, net) {
         eprintln!("internal error: produced an invalid schedule: {e}");
     }
@@ -160,6 +241,7 @@ fn report(schedule: &Schedule, graph: &TaskGraph, net: &ProcNetwork, args: &Args
         return;
     }
     println!("algorithm      : {label}");
+    println!("outcome        : {}", outcome_label(outcome));
     println!("schedule length: {}", schedule.makespan());
     println!("processors used: {}", schedule.procs_used());
     if args.has("gantt") {
@@ -181,19 +263,6 @@ fn build_spec(args: &Args) -> Result<SchedulerSpec, String> {
         seed_incumbent: args.has("seed-incumbent"),
         ..Default::default()
     };
-    if let Some(v) = args.get("store") {
-        spec.store = v.parse()?;
-    }
-    if let Some(v) = args.get("arena-gc") {
-        spec.arena_gc = match v {
-            "on" | "true" | "1" => true,
-            "off" | "false" | "0" => false,
-            _ => return Err(format!("unknown --arena-gc value `{v}` (expected on|off)")),
-        };
-    }
-    spec.path_cache = args.get_parse("path-cache", spec.path_cache);
-    spec.parallel.election_batch =
-        args.get_parse("election-batch", spec.parallel.election_batch);
     spec.parallel.num_ppes = args.get_parse("ppes", spec.parallel.num_ppes);
     spec.parallel.epsilon = args.get("epsilon").and_then(|v| v.parse().ok());
     if let Some(v) = args.get("dup-detection") {
@@ -235,7 +304,7 @@ fn cmd_schedule(args: &Args, graph: TaskGraph) -> ExitCode {
         eprintln!("internal error: `{algorithm}` produced no schedule");
         return ExitCode::FAILURE;
     };
-    report(schedule, &graph, &net, args, &scheduler.description());
+    report(schedule, &graph, &net, args, &scheduler.description(), &run.result.outcome);
     if run.result.outcome == SearchOutcome::LimitReached {
         eprintln!("note: the search hit its budget; the schedule is the best incumbent, not proven optimal");
     }
@@ -545,7 +614,14 @@ fn cmd_requests(args: &Args) -> ExitCode {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else { return usage() };
+    let Some(&(_, known)) = SUBCOMMANDS.iter().find(|(name, _)| name == cmd) else {
+        return usage();
+    };
     let args = Args::parse(&argv[1..]);
+    if let Some(flag) = args.unknown_flag(known) {
+        eprintln!("unknown flag `--{flag}` for `optsched {cmd}`");
+        return usage();
+    }
     match cmd.as_str() {
         "schedule" => match load_graph(&args) {
             Ok(g) => cmd_schedule(&args, g),
@@ -592,6 +668,19 @@ mod tests {
         assert_eq!(a.get_parse("missing", 3usize), 3);
         assert!(a.has("gantt"));
         assert!(!a.has("json"));
+        assert_eq!(a.unknown_flag(&["nodes", "gantt", "ccr"]), None);
+        assert_eq!(a.unknown_flag(&["nodes", "ccr"]), Some("gantt"));
+    }
+
+    /// The flag table and the usage text name the same flags.
+    #[test]
+    fn every_accepted_flag_is_on_the_usage_text() {
+        for (cmd, known) in SUBCOMMANDS {
+            assert!(USAGE.contains(&format!("optsched {cmd}")), "{cmd}");
+            for flag in *known {
+                assert!(USAGE.contains(&format!("--{flag}")), "{cmd} --{flag}");
+            }
+        }
     }
 
     #[test]

@@ -284,66 +284,13 @@ fn wastar_from_the_cli_matches_astar_at_weight_one() {
     assert_eq!(lengths[0], lengths[2], "the seeded search stays exact");
 }
 
-/// `--store` used to be silently ignored for `--algorithm parallel`; it now
-/// selects the per-PPE state store, the algorithm banner names it, and the
-/// replay-savings counter betrays which store ran: only the delta arena
-/// rebuilds states from delta records (and banks the deltas its path-cache
-/// bases skipped); the eager baseline never replays.  (The headline
-/// `peak_live_states` no longer separates the stores — since snapshot
-/// transfers it is dominated by the same in-flight traffic on both.)
-#[test]
-fn parallel_store_modes_agree_and_report_peak_live_states() {
-    let generated = run(&["generate", "--nodes", "8", "--ccr", "1.0", "--seed", "7"]);
-    assert!(generated.status.success());
-    let graph_json = generated.stdout;
-
-    let mut results: Vec<(u64, u64)> = Vec::new(); // (schedule length, peak live)
-    for store in ["arena", "eager"] {
-        let out = run_with_stdin(
-            &[
-                "schedule", "--input", "-", "--algorithm", "parallel", "--ppes", "2",
-                "--store", store, "--procs", "3",
-            ],
-            &graph_json,
-        );
-        assert!(out.status.success(), "store={store} stderr: {}", String::from_utf8_lossy(&out.stderr));
-        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-        assert!(stdout.contains(&format!("{store} store")), "stdout: {stdout}");
-        let len = stdout
-            .lines()
-            .find_map(|l| l.strip_prefix("schedule length:"))
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or_else(|| panic!("no schedule length in: {stdout}"));
-        assert!(
-            stdout.lines().any(|l| l.starts_with("peak_live_states")),
-            "no peak_live_states counter in: {stdout}"
-        );
-        let saved = stdout
-            .lines()
-            .find_map(|l| l.strip_prefix("replayed deltas saved"))
-            .and_then(|v| v.trim_start_matches([' ', ':']).trim().parse::<u64>().ok())
-            .unwrap_or_else(|| panic!("no replayed-deltas-saved counter in: {stdout}"));
-        results.push((len, saved));
-    }
-    assert_eq!(results[0].0, results[1].0, "both stores must return the same optimum");
-    assert!(results[0].1 > 0, "the arena's path-cache bases must bank skipped deltas");
-    assert_eq!(results[1].1, 0, "the eager store never replays, so it never saves");
-
-    // An unknown store fails cleanly.
-    let bad = run_with_stdin(
-        &["schedule", "--input", "-", "--algorithm", "parallel", "--store", "bogus"],
-        &graph_json,
-    );
-    assert!(!bad.status.success());
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown state store"));
-}
-
 /// Every schedule run prints the arena-lifecycle counters
-/// (`peak_live_records`, `reclaimed_records`, the path-cache hit rate);
-/// `--arena-gc off` restores the append-only store (zero reclaimed) without
-/// moving the optimum, and a malformed value fails cleanly.
+/// (`peak_live_records`, `reclaimed_records`, the path-cache hit rate), the
+/// serial families from the uniform stats and `parallel` among its extras,
+/// which add the `peak_live_states` headline and the deltas the path-cache
+/// bases saved from replay.
 #[test]
-fn arena_gc_knob_and_lifecycle_counters_from_the_cli() {
+fn arena_lifecycle_counters_from_the_cli() {
     let generated = run(&["generate", "--nodes", "10", "--ccr", "1.0", "--seed", "7"]);
     assert!(generated.status.success());
     let graph_json = generated.stdout;
@@ -356,28 +303,17 @@ fn arena_gc_knob_and_lifecycle_counters_from_the_cli() {
             .unwrap_or_else(|| panic!("no {name} counter in: {stdout}"))
     };
 
-    let mut lengths = Vec::new();
-    let mut reclaimed = Vec::new();
-    for gc in ["on", "off"] {
-        let out = run_with_stdin(
-            &[
-                "schedule", "--input", "-", "--algorithm", "astar", "--procs", "3",
-                "--arena-gc", gc,
-            ],
-            &graph_json,
-        );
-        assert!(out.status.success(), "gc={gc} stderr: {}", String::from_utf8_lossy(&out.stderr));
-        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-        assert!(stdout.contains("path-cache hit rate"), "stdout: {stdout}");
-        assert!(counter(&stdout, "peak_live_records") > 0, "stdout: {stdout}");
-        lengths.push(counter(&stdout, "schedule length"));
-        reclaimed.push(counter(&stdout, "reclaimed_records"));
-    }
-    assert_eq!(lengths[0], lengths[1], "GC never changes the search");
-    assert!(reclaimed[0] > 0, "default GC must reclaim dead chains");
-    assert_eq!(reclaimed[1], 0, "--arena-gc off is append-only");
+    let serial = run_with_stdin(
+        &["schedule", "--input", "-", "--algorithm", "astar", "--procs", "3"],
+        &graph_json,
+    );
+    assert!(serial.status.success(), "stderr: {}", String::from_utf8_lossy(&serial.stderr));
+    let stdout = String::from_utf8_lossy(&serial.stdout).to_string();
+    assert!(stdout.contains("path-cache hit rate"), "stdout: {stdout}");
+    assert!(counter(&stdout, "peak_live_records") > 0, "stdout: {stdout}");
+    assert!(counter(&stdout, "reclaimed_records") > 0, "the default run reclaims dead chains");
+    let serial_len = counter(&stdout, "schedule length");
 
-    // The parallel family reports the same counters among its extras.
     let par = run_with_stdin(
         &[
             "schedule", "--input", "-", "--algorithm", "parallel", "--ppes", "2", "--procs",
@@ -387,13 +323,77 @@ fn arena_gc_knob_and_lifecycle_counters_from_the_cli() {
     );
     assert!(par.status.success(), "stderr: {}", String::from_utf8_lossy(&par.stderr));
     let stdout = String::from_utf8_lossy(&par.stdout).to_string();
+    assert_eq!(counter(&stdout, "schedule length"), serial_len, "stdout: {stdout}");
+    assert!(stdout.lines().any(|l| l.starts_with("peak_live_states")), "stdout: {stdout}");
     assert!(counter(&stdout, "reclaimed_records") > 0, "stdout: {stdout}");
     assert!(stdout.contains("path-cache hit rate"), "stdout: {stdout}");
+    assert!(
+        counter(&stdout, "replayed deltas saved") > 0,
+        "the path-cache bases must bank skipped deltas: {stdout}"
+    );
+}
 
-    // A malformed value fails cleanly.
-    let bad = run_with_stdin(&["schedule", "--input", "-", "--arena-gc", "sometimes"], &graph_json);
-    assert!(!bad.status.success());
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown --arena-gc"));
+/// A run stopped by a limit says so on its `outcome` line, and the
+/// algorithm line makes no optimality claim of its own.
+#[test]
+fn limit_reached_runs_report_the_limit_as_their_outcome() {
+    let generated = run(&["generate", "--nodes", "10", "--ccr", "1.0", "--seed", "7"]);
+    assert!(generated.status.success());
+    let graph_json = generated.stdout;
+
+    let bounded = run_with_stdin(
+        &[
+            "schedule", "--input", "-", "--algorithm", "astar", "--procs", "3",
+            "--max-expansions", "1",
+        ],
+        &graph_json,
+    );
+    assert!(bounded.status.success(), "stderr: {}", String::from_utf8_lossy(&bounded.stderr));
+    let stdout = String::from_utf8_lossy(&bounded.stdout).to_string();
+    let line = |name: &str| {
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(name))
+            .map(|v| v.trim_start_matches([' ', ':']).to_string())
+            .unwrap_or_else(|| panic!("no {name} line in: {stdout}"))
+    };
+    assert!(line("outcome").starts_with("limit reached"), "stdout: {stdout}");
+    assert!(!line("algorithm").contains("optimal"), "stdout: {stdout}");
+
+    let exact = run_with_stdin(
+        &["schedule", "--input", "-", "--algorithm", "astar", "--procs", "3"],
+        &graph_json,
+    );
+    assert!(exact.status.success());
+    let stdout = String::from_utf8_lossy(&exact.stdout);
+    assert!(stdout.contains("outcome        : completed (optimal"), "stdout: {stdout}");
+}
+
+/// Each subcommand rejects a flag outside its usage line with a usage
+/// error: the store, GC, path-cache and election-batch flags earlier
+/// versions accepted, and a misspelt `--budget_ms`, must fail instead of
+/// silently running with defaults.
+#[test]
+fn removed_and_misspelt_flags_are_usage_errors() {
+    let generated = run(&["generate", "--nodes", "6", "--seed", "1"]);
+    assert!(generated.status.success());
+    let removed =
+        [("store", "eager"), ("arena-gc", "off"), ("path-cache", "0"), ("election-batch", "1")];
+    let mut cases: Vec<(String, &str)> =
+        removed.iter().map(|&(flag, value)| (format!("--{flag}"), value)).collect();
+    cases.push(("--budget_ms".to_string(), "500"));
+    for (flag, value) in &cases {
+        let out = run_with_stdin(&["schedule", "--input", "-", flag, value], &generated.stdout);
+        assert!(!out.status.success(), "{flag} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{flag}: {stderr}");
+        assert!(stderr.contains("usage:"), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} must not run a search");
+    }
+    // A flag is judged against its own subcommand's usage line.
+    let out = run(&["generate", "--nodes", "6", "--gantt"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--gantt`"));
 }
 
 /// Feeds stdin in two chunks with a pause between, keeping the service alive

@@ -12,7 +12,7 @@ use optsched_schedule::Schedule;
 use optsched_taskgraph::Cost;
 
 use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{focal_threshold, run_search, ArenaConfig, FocalPolicy, StoreKind};
+use crate::engine::{focal_threshold, run_search, FocalPolicy};
 use crate::problem::SchedulingProblem;
 use crate::stats::SearchResult;
 
@@ -26,7 +26,6 @@ pub struct AEpsScheduler<'a> {
     pruning: PruningConfig,
     heuristic: HeuristicKind,
     limits: SearchLimits,
-    store: ArenaConfig,
     seed_incumbent: bool,
     warm_start: Option<Schedule>,
 }
@@ -46,7 +45,6 @@ impl<'a> AEpsScheduler<'a> {
             pruning: PruningConfig::all(),
             heuristic: HeuristicKind::PaperStaticLevel,
             limits: SearchLimits::unlimited(),
-            store: ArenaConfig::default(),
             seed_incumbent: false,
             warm_start: None,
         }
@@ -72,24 +70,6 @@ impl<'a> AEpsScheduler<'a> {
     /// Applies resource limits to the run.
     pub fn with_limits(mut self, limits: SearchLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Selects the state-store layout (delta arena by default).
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store.kind = store;
-        self
-    }
-
-    /// Enables or disables refcounted arena reclamation (on by default).
-    pub fn with_arena_gc(mut self, gc: bool) -> Self {
-        self.store.gc = gc;
-        self
-    }
-
-    /// Sets the materialisation path-cache capacity (0 disables it).
-    pub fn with_path_cache(mut self, entries: u32) -> Self {
-        self.store.path_cache = entries;
         self
     }
 
@@ -124,7 +104,6 @@ impl<'a> AEpsScheduler<'a> {
             self.pruning,
             self.heuristic,
             self.limits,
-            self.store,
             self.seed_incumbent,
             self.warm_start.as_ref(),
         )

@@ -22,7 +22,7 @@
 use optsched_schedule::Schedule;
 
 use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{run_search, AStarPolicy, ArenaConfig, StoreKind};
+use crate::engine::{run_search, AStarPolicy};
 use crate::problem::SchedulingProblem;
 use crate::stats::SearchResult;
 
@@ -34,7 +34,6 @@ pub struct AStarScheduler<'a> {
     pruning: PruningConfig,
     heuristic: HeuristicKind,
     limits: SearchLimits,
-    store: ArenaConfig,
     seed_incumbent: bool,
     warm_start: Option<Schedule>,
 }
@@ -47,7 +46,6 @@ impl<'a> AStarScheduler<'a> {
             pruning: PruningConfig::all(),
             heuristic: HeuristicKind::PaperStaticLevel,
             limits: SearchLimits::unlimited(),
-            store: ArenaConfig::default(),
             seed_incumbent: false,
             warm_start: None,
         }
@@ -68,26 +66,6 @@ impl<'a> AStarScheduler<'a> {
     /// Applies resource limits to the run.
     pub fn with_limits(mut self, limits: SearchLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Selects the state-store layout (delta arena by default; the eager
-    /// clone-per-generation layout exists for before/after measurements).
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store.kind = store;
-        self
-    }
-
-    /// Enables or disables refcounted arena reclamation (on by default; off
-    /// restores the append-only arena for before/after measurements).
-    pub fn with_arena_gc(mut self, gc: bool) -> Self {
-        self.store.gc = gc;
-        self
-    }
-
-    /// Sets the materialisation path-cache capacity (0 disables it).
-    pub fn with_path_cache(mut self, entries: u32) -> Self {
-        self.store.path_cache = entries;
         self
     }
 
@@ -122,7 +100,6 @@ impl<'a> AStarScheduler<'a> {
             self.pruning,
             self.heuristic,
             self.limits,
-            self.store,
             self.seed_incumbent,
             self.warm_start.as_ref(),
         )
@@ -335,6 +312,11 @@ mod tests {
         assert_eq!(
             r.stats.heuristic_evaluations,
             (r.stats.generated - 1) + r.stats.pruned_upper_bound + r.stats.duplicates
+        );
+        assert!(r.stats.reclaimed_records > 0, "the default run reclaims dead records");
+        assert!(
+            r.stats.peak_live_records < r.stats.generated,
+            "live records stay below the total ever generated"
         );
         assert!(r.elapsed.as_secs() < 10);
     }

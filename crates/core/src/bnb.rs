@@ -30,7 +30,7 @@ use optsched_schedule::Schedule;
 use optsched_taskgraph::{Cost, NodeId};
 
 use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{run_search, ArenaConfig, BoundPolicy, StoreKind};
+use crate::engine::{run_search, BoundPolicy};
 use crate::problem::SchedulingProblem;
 use crate::state::SearchState;
 use crate::stats::{SearchResult, SearchStats};
@@ -53,7 +53,6 @@ const MAX_SEGMENTS_PER_EVALUATION: u64 = 4_000;
 pub struct ChenYuScheduler<'a> {
     problem: &'a SchedulingProblem,
     limits: SearchLimits,
-    store: ArenaConfig,
     seed_incumbent: bool,
     warm_start: Option<Schedule>,
 }
@@ -64,7 +63,6 @@ impl<'a> ChenYuScheduler<'a> {
         ChenYuScheduler {
             problem,
             limits: SearchLimits::unlimited(),
-            store: ArenaConfig::default(),
             seed_incumbent: false,
             warm_start: None,
         }
@@ -73,24 +71,6 @@ impl<'a> ChenYuScheduler<'a> {
     /// Applies resource limits to the run.
     pub fn with_limits(mut self, limits: SearchLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Selects the state-store layout (delta arena by default).
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store.kind = store;
-        self
-    }
-
-    /// Enables or disables refcounted arena reclamation (on by default).
-    pub fn with_arena_gc(mut self, gc: bool) -> Self {
-        self.store.gc = gc;
-        self
-    }
-
-    /// Sets the materialisation path-cache capacity (0 disables it).
-    pub fn with_path_cache(mut self, entries: u32) -> Self {
-        self.store.path_cache = entries;
         self
     }
 
@@ -219,7 +199,6 @@ impl<'a> ChenYuScheduler<'a> {
             PruningConfig::none(),
             HeuristicKind::Zero,
             self.limits,
-            self.store,
             self.seed_incumbent,
             self.warm_start.as_ref(),
         )

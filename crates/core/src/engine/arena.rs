@@ -19,22 +19,16 @@
 //!   count reaches zero the slot is freed into a free list for id reuse and
 //!   the decrement cascades up the delta chain, so a dead subtree is
 //!   reclaimed as soon as its last frontier descendant dies.  The initial
-//!   root (slot 0) is pinned and never freed.  Reclamation can be switched
-//!   off ([`ArenaConfig::gc`]) to restore the append-only layout; either way
-//!   the search behaviour is bit-identical — only the memory profile changes.
+//!   root (slot 0) is pinned and never freed.
 //! * **Materialisation path-cache.**  Replaying from the root makes a single
-//!   materialisation O(depth).  The arena keeps the last K materialised
-//!   states whose replay was long enough to be worth caching
-//!   ([`ArenaConfig::path_cache`]); a later materialisation walks its parent
-//!   chain only until it meets the scratch state, a cached ancestor or a full
-//!   snapshot, whichever is nearest.
+//!   materialisation O(depth).  The arena keeps the last
+//!   [`PATH_CACHE_ENTRIES`] materialised states whose replay was long enough
+//!   to be worth caching; a later materialisation walks its parent chain only
+//!   until it meets the scratch state, a cached ancestor or a full snapshot,
+//!   whichever is nearest.
 //!
-//! The eager clone-per-generation layout is retained as
-//! [`StoreKind::EagerClone`] so the `ablation_serial` experiment binary can
-//! measure the before/after of the arena on identical search behaviour —
-//! both stores produce bit-identical search results; only the memory/time
-//! profile differs.  (Under the eager layout `release` frees the dead full
-//! clone directly; there is no chain to cascade along.)
+//! Neither mechanism changes the search: they decide when memory is freed
+//! and how many deltas replay, never which states are expanded.
 
 use crate::problem::SchedulingProblem;
 use crate::state::{ChildDelta, SearchState};
@@ -68,88 +62,14 @@ const MID_PROMOTE_REPLAY_THRESHOLD: usize = 2 * PROMOTE_REPLAY_THRESHOLD;
 /// [`StateArena::compact`] calls are not throttled.
 const COMPACT_RECLAIM_INTERVAL: u64 = 8192;
 
-/// How the arena stores generated states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreKind {
-    /// Every admitted child is materialised immediately (one full clone per
-    /// generation) — the pre-engine layout, kept for the before/after
-    /// measurement in `results/BENCH_serial.json`.
-    EagerClone,
-    /// Children are stored as parent-id + delta records and materialised
-    /// lazily on expansion by replaying the chain onto a scratch state.
-    #[default]
-    DeltaArena,
-}
+/// Number of materialised states the path-cache keeps (the single scratch
+/// state is kept on top of these).
+const PATH_CACHE_ENTRIES: usize = 8;
 
-impl std::fmt::Display for StoreKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreKind::EagerClone => write!(f, "eager"),
-            StoreKind::DeltaArena => write!(f, "arena"),
-        }
-    }
-}
-
-impl std::str::FromStr for StoreKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "eager" | "clone" => Ok(StoreKind::EagerClone),
-            "arena" | "delta" => Ok(StoreKind::DeltaArena),
-            other => Err(format!("unknown state store `{other}` (expected eager|arena)")),
-        }
-    }
-}
-
-/// Storage-layer configuration: the layout plus the lifecycle knobs.
-///
-/// All three knobs are behaviour-preserving — they change memory and replay
-/// cost, never the search trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArenaConfig {
-    /// The storage layout.
-    pub kind: StoreKind,
-    /// Reclaim dead records via refcounted release (`true` by default).
-    /// `false` restores the append-only arena: `release` becomes a no-op and
-    /// nothing is ever freed.
-    pub gc: bool,
-    /// Number of materialised ancestors kept in the path-cache (`0` disables
-    /// the cache; the single scratch state is kept regardless).
-    pub path_cache: u32,
-}
-
-impl Default for ArenaConfig {
-    fn default() -> Self {
-        ArenaConfig { kind: StoreKind::default(), gc: true, path_cache: 8 }
-    }
-}
-
-impl From<StoreKind> for ArenaConfig {
-    fn from(kind: StoreKind) -> Self {
-        ArenaConfig { kind, ..ArenaConfig::default() }
-    }
-}
-
-impl ArenaConfig {
-    /// The default configuration with the given layout.
-    pub fn with_kind(mut self, kind: StoreKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
-    /// Enables or disables refcounted reclamation.
-    pub fn with_gc(mut self, gc: bool) -> Self {
-        self.gc = gc;
-        self
-    }
-
-    /// Sets the path-cache capacity (0 disables).
-    pub fn with_path_cache(mut self, entries: u32) -> Self {
-        self.path_cache = entries;
-        self
-    }
-}
+/// Argument of [`StateArena::new`].  The arena has a single configuration,
+/// so this carries no setting; it keeps the constructor stable for callers.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ArenaConfig;
 
 /// One stored state: a full snapshot, a delta against its parent, or a freed
 /// slot awaiting reuse.
@@ -165,7 +85,6 @@ enum Slot {
 #[derive(Debug)]
 pub struct StateArena<'p> {
     problem: &'p SchedulingProblem,
-    config: ArenaConfig,
     slots: Vec<Slot>,
     /// Reference count per slot: the caller's handle plus one per child
     /// record.  Slot 0 (the initial root) carries one extra pin.
@@ -176,7 +95,7 @@ pub struct StateArena<'p> {
     /// slot (`None` until the first delta materialisation).  Re-materialising
     /// a descendant of the scratch state replays only the new deltas.
     scratch: Option<(StateId, SearchState)>,
-    /// The path-cache: up to `config.path_cache` recently materialised
+    /// The path-cache: up to [`PATH_CACHE_ENTRIES`] recently materialised
     /// states, replaced round-robin.  Entries whose state was reclaimed are
     /// marked with [`INVALID_ID`] (the allocation is kept for reuse).
     cache: Vec<(StateId, SearchState)>,
@@ -200,11 +119,10 @@ pub struct StateArena<'p> {
 }
 
 impl<'p> StateArena<'p> {
-    /// An empty arena for `problem` with the given configuration.
-    pub fn new(problem: &'p SchedulingProblem, config: ArenaConfig) -> StateArena<'p> {
+    /// An empty arena for `problem`.
+    pub fn new(problem: &'p SchedulingProblem, _config: ArenaConfig) -> StateArena<'p> {
         StateArena {
             problem,
-            config,
             slots: Vec::new(),
             refs: Vec::new(),
             free: Vec::new(),
@@ -226,16 +144,6 @@ impl<'p> StateArena<'p> {
         }
     }
 
-    /// The storage layout in use.
-    pub fn kind(&self) -> StoreKind {
-        self.config.kind
-    }
-
-    /// The full storage configuration in use.
-    pub fn config(&self) -> ArenaConfig {
-        self.config
-    }
-
     /// Number of slots ever allocated (live records plus free slots).
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -246,16 +154,15 @@ impl<'p> StateArena<'p> {
         self.slots.is_empty()
     }
 
-    /// Largest number of fully materialised states held at any point: every
-    /// live state in the eager layout, only roots plus the scratch state in
-    /// the delta layout.  This is the allocation proxy reported by
-    /// `results/BENCH_serial.json`.  (The path-cache's up to K extra full
-    /// states are a fixed overhead, not counted here.)
+    /// Largest number of fully materialised states held at any point: roots
+    /// and adopted snapshots plus the scratch state.  (The path-cache's up to
+    /// [`PATH_CACHE_ENTRIES`] extra full states are a fixed overhead, not
+    /// counted here.)
     pub fn peak_live_full(&self) -> usize {
         self.peak_live_full
     }
 
-    /// Number of records (roots + deltas, both layouts) currently live.
+    /// Number of records (roots, snapshots and deltas) currently live.
     pub fn live_records(&self) -> usize {
         self.live_records
     }
@@ -333,8 +240,7 @@ impl<'p> StateArena<'p> {
         }
     }
 
-    /// Stores a full state with no parent (the initial state; in the eager
-    /// parallel store, also states received from another PPE).  The first
+    /// Stores a full state with no parent (the initial state).  The first
     /// root (slot 0) is pinned: it anchors every delta chain and is never
     /// reclaimed.
     pub fn insert_root(&mut self, state: SearchState) -> StateId {
@@ -349,35 +255,19 @@ impl<'p> StateArena<'p> {
     /// Stores the child of `parent` described by `delta`.  The parent must be
     /// live (the caller holds its handle while expanding it).
     pub fn insert_child(&mut self, parent: StateId, delta: &ChildDelta) -> StateId {
-        match self.config.kind {
-            StoreKind::EagerClone => {
-                let Slot::Full(parent_state) = &self.slots[parent as usize] else {
-                    unreachable!("eager arenas store only full states");
-                };
-                let child = parent_state.apply_delta(self.problem, delta);
-                let id = self.alloc(Slot::Full(child));
-                self.note_live_full(1);
-                id
-            }
-            StoreKind::DeltaArena => {
-                let id = self.alloc(Slot::Delta { parent, delta: *delta });
-                self.refs[parent as usize] += 1;
-                id
-            }
-        }
+        let id = self.alloc(Slot::Delta { parent, delta: *delta });
+        self.refs[parent as usize] += 1;
+        id
     }
 
-    /// Drops the caller's handle on `id`.  When reclamation is enabled and no
-    /// child record keeps the state alive, its slot is freed for reuse and
-    /// the release cascades up the delta chain, reclaiming every ancestor
-    /// that just lost its last reference.  A no-op with `gc: false`.
+    /// Drops the caller's handle on `id`.  When no child record keeps the
+    /// state alive, its slot is freed for reuse and the release cascades up
+    /// the delta chain, reclaiming every ancestor that just lost its last
+    /// reference.
     ///
     /// After releasing an id the caller must not use it again: the slot may
     /// be reused by the next insertion.
     pub fn release(&mut self, id: StateId) {
-        if !self.config.gc {
-            return;
-        }
         let mut cursor = id;
         loop {
             let r = &mut self.refs[cursor as usize];
@@ -454,59 +344,26 @@ impl<'p> StateArena<'p> {
         self.free.shrink_to_fit();
     }
 
-    /// Adopts a full state produced *outside* this arena (in the parallel
-    /// scheduler: a state received from another PPE, or the initial
-    /// distribution) and returns its id.
-    ///
-    /// The eager layout moves it in as one more retained full state — the
-    /// clone-per-generation baseline.  The delta layout instead *re-roots*
-    /// the state: it is decomposed with [`SearchState::to_delta_chain`] and
-    /// stored as a chain of delta records hanging off slot 0, so adopting
-    /// never adds a live full state.  A delta arena therefore keeps the
-    /// problem's **initial** (empty) state in slot 0 — adopting into an
-    /// empty delta arena seeds it automatically, and adopting into one whose
-    /// slot 0 is anything else (only possible by inserting a non-initial
-    /// root first) panics rather than replay chains onto the wrong base.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is a non-empty delta arena whose slot 0 is not the
-    /// initial state.
-    pub fn adopt(&mut self, state: SearchState) -> StateId {
-        match self.config.kind {
-            StoreKind::EagerClone => self.insert_root(state),
-            StoreKind::DeltaArena => {
-                let chain = state.to_delta_chain();
-                self.adopt_chain(&chain)
-            }
-        }
-    }
-
     /// Adopts a full state as a *snapshot root*: one `Slot::Full` record that
     /// later children hang their deltas off and that `materialise` replays
     /// from directly — the receive-side of the parallel scheduler's snapshot
-    /// transfers.  Unlike [`StateArena::adopt`], a delta arena stores the
-    /// state as-is instead of decomposing it, so adopting (and later
-    /// releasing) a depth-`d` transfer costs one record instead of `d`
-    /// records plus a refcount cascade.  An empty delta arena is still seeded
-    /// with the pinned initial root first, preserving the slot-0 invariant
-    /// that chain adoption relies on; a depth-0 state *is* the initial state
-    /// and takes the chain path (no duplicate root record).
+    /// transfers.  The state is stored as-is instead of decomposed into a
+    /// chain, so adopting (and later releasing) a depth-`d` transfer costs
+    /// one record instead of `d` records plus a refcount cascade.  An empty
+    /// arena is still seeded with the pinned initial root first, preserving
+    /// the slot-0 invariant that chain adoption relies on; a depth-0 state
+    /// *is* the initial state and takes the chain path (no duplicate root
+    /// record).
     pub fn adopt_snapshot(&mut self, state: SearchState) -> StateId {
-        match self.config.kind {
-            StoreKind::EagerClone => self.insert_root(state),
-            StoreKind::DeltaArena => {
-                if state.depth() == 0 {
-                    return self.adopt(state);
-                }
-                if self.slots.is_empty() {
-                    self.insert_root(SearchState::initial(self.problem));
-                }
-                let id = self.alloc(Slot::Full(state));
-                self.note_live_full(1);
-                id
-            }
+        if state.depth() == 0 {
+            return self.adopt_chain(&[]);
         }
+        if self.slots.is_empty() {
+            self.insert_root(SearchState::initial(self.problem));
+        }
+        let id = self.alloc(Slot::Full(state));
+        self.note_live_full(1);
+        id
     }
 
     /// Depth of the record `id` in deltas from the initial state, walked over
@@ -530,50 +387,43 @@ impl<'p> StateArena<'p> {
 
     /// Adopts a state expressed as a delta chain against the initial state
     /// (the wire format of the parallel scheduler's chain-shipping
-    /// transfers; see [`SearchState::to_delta_chain`]).  The delta layout
-    /// stores the records directly — the state is never materialised on
-    /// adoption; the eager layout replays the chain into one full clone.
+    /// transfers; see [`SearchState::to_delta_chain`]).  The records are
+    /// stored directly, hanging off slot 0 — the state is never materialised
+    /// on adoption, so adopting never adds a live full state.
     ///
     /// Intermediate chain records keep no caller handle (only the child link
     /// holds them), so releasing the returned id reclaims the whole adopted
-    /// chain once reclamation is on.  An empty chain denotes the initial
-    /// state itself and returns the pinned root.
+    /// chain.  An empty chain denotes the initial state itself and returns
+    /// the pinned root.
+    ///
+    /// The arena therefore keeps the problem's **initial** (empty) state in
+    /// slot 0: adopting into an empty arena seeds it automatically.
     ///
     /// # Panics
     ///
-    /// As [`StateArena::adopt`]: a non-empty delta arena must be rooted at
-    /// the initial state.
+    /// Panics if the arena is non-empty and its slot 0 is not the initial
+    /// state (only possible by inserting a non-initial root first), rather
+    /// than replay chains onto the wrong base.
     pub fn adopt_chain(&mut self, chain: &[ChildDelta]) -> StateId {
-        match self.config.kind {
-            StoreKind::EagerClone => {
-                let mut state = SearchState::initial(self.problem);
-                for delta in chain {
-                    state.apply_delta_in_place(self.problem, delta);
-                }
-                self.insert_root(state)
-            }
-            StoreKind::DeltaArena => {
-                if self.slots.is_empty() {
-                    self.insert_root(SearchState::initial(self.problem));
-                }
-                assert!(
-                    matches!(&self.slots[0], Slot::Full(s) if s.depth() == 0),
-                    "delta arenas re-root adopted states at the initial state in slot 0"
-                );
-                let mut id: StateId = 0;
-                for delta in chain {
-                    let child = self.insert_child(id, delta);
-                    if id != 0 {
-                        // The child's parent link now keeps the intermediate
-                        // alive; drop our construction handle so the chain
-                        // can be reclaimed from its tip.
-                        self.release(id);
-                    }
-                    id = child;
-                }
-                id
-            }
+        if self.slots.is_empty() {
+            self.insert_root(SearchState::initial(self.problem));
         }
+        assert!(
+            matches!(&self.slots[0], Slot::Full(s) if s.depth() == 0),
+            "delta arenas re-root adopted states at the initial state in slot 0"
+        );
+        let mut id: StateId = 0;
+        for delta in chain {
+            let child = self.insert_child(id, delta);
+            if id != 0 {
+                // The child's parent link now keeps the intermediate alive;
+                // drop our construction handle so the chain can be reclaimed
+                // from its tip.
+                self.release(id);
+            }
+            id = child;
+        }
+        id
     }
 
     /// Decomposes the live state `id` into the delta chain that rebuilds it
@@ -581,12 +431,10 @@ impl<'p> StateArena<'p> {
     /// chain-shipping transfers.  Walks parent links only; nothing is
     /// materialised or copied beyond the fixed-size records.
     ///
-    /// Only meaningful for delta arenas rooted at the initial state: the walk
-    /// bottoms out either at slot 0 or at an adopted snapshot root, whose own
-    /// decomposition is spliced in so the chain always replays from the
-    /// receiver's initial state.  Eager arenas ship full states instead.
+    /// The walk bottoms out either at slot 0 or at an adopted snapshot root,
+    /// whose own decomposition is spliced in so the chain always replays from
+    /// the receiver's initial state.
     pub fn extract_chain(&self, id: StateId) -> Vec<ChildDelta> {
-        debug_assert_eq!(self.config.kind, StoreKind::DeltaArena, "chains are a delta-store form");
         let mut chain = Vec::new();
         let mut cursor = id;
         loop {
@@ -612,8 +460,8 @@ impl<'p> StateArena<'p> {
     }
 
     /// Materialises the state identified by `id` and returns an owned clone —
-    /// the eager send-path of the parallel scheduler, where a state leaving
-    /// for another PPE must outlive this arena's scratch state.
+    /// the snapshot send-path of the parallel scheduler, where a state
+    /// leaving for another PPE must outlive this arena's scratch state.
     pub fn materialise_owned(&mut self, id: StateId) -> SearchState {
         self.materialise(id).clone()
     }
@@ -701,8 +549,7 @@ impl<'p> StateArena<'p> {
         // Replay the suffix; a long enough replay also promotes its midpoint
         // ancestor so later jumps anywhere into this subtree start nearby.
         let replay_len = chain.len();
-        let mid_idx = (replay_len >= MID_PROMOTE_REPLAY_THRESHOLD && self.config.path_cache > 0)
-            .then_some(replay_len / 2);
+        let mid_idx = (replay_len >= MID_PROMOTE_REPLAY_THRESHOLD).then_some(replay_len / 2);
         for i in (0..replay_len).rev() {
             let (delta_id, delta) = chain[i];
             scratch.apply_delta_in_place(self.problem, &delta);
@@ -714,7 +561,7 @@ impl<'p> StateArena<'p> {
 
         // Promote long replays into the path-cache so a later jump back into
         // this subtree starts from here instead of the root.
-        if replay_len >= PROMOTE_REPLAY_THRESHOLD && self.config.path_cache > 0 {
+        if replay_len >= PROMOTE_REPLAY_THRESHOLD {
             self.cache_insert(id, &scratch);
         }
         self.scratch = Some((id, scratch));
@@ -727,7 +574,7 @@ impl<'p> StateArena<'p> {
         if self.cache.iter().any(|&(cid, _)| cid == id) {
             return;
         }
-        if self.cache.len() < self.config.path_cache as usize {
+        if self.cache.len() < PATH_CACHE_ENTRIES {
             self.cache.push((id, state.clone()));
         } else {
             let cursor = self.cache_cursor;
@@ -753,33 +600,13 @@ mod tests {
         SchedulingProblem::new(paper_example_dag(), ProcNetwork::ring(3))
     }
 
-    fn arena(problem: &SchedulingProblem, kind: StoreKind) -> StateArena<'_> {
-        StateArena::new(problem, ArenaConfig::from(kind))
+    fn arena(problem: &SchedulingProblem) -> StateArena<'_> {
+        StateArena::new(problem, ArenaConfig)
     }
 
-    #[test]
-    fn store_kind_parses_and_displays() {
-        assert_eq!("eager".parse::<StoreKind>().unwrap(), StoreKind::EagerClone);
-        assert_eq!("arena".parse::<StoreKind>().unwrap(), StoreKind::DeltaArena);
-        assert_eq!("DELTA".parse::<StoreKind>().unwrap(), StoreKind::DeltaArena);
-        assert!("bogus".parse::<StoreKind>().is_err());
-        assert_eq!(StoreKind::EagerClone.to_string(), "eager");
-        assert_eq!(StoreKind::DeltaArena.to_string(), "arena");
-        assert_eq!(StoreKind::default(), StoreKind::DeltaArena);
-        let cfg = ArenaConfig::default();
-        assert!(cfg.gc, "reclamation is on by default");
-        assert_eq!(cfg.kind, StoreKind::DeltaArena);
-        assert_eq!(ArenaConfig::from(StoreKind::EagerClone).kind, StoreKind::EagerClone);
-        let knobbed = ArenaConfig::default()
-            .with_kind(StoreKind::EagerClone)
-            .with_gc(false)
-            .with_path_cache(0);
-        assert_eq!(knobbed, ArenaConfig { kind: StoreKind::EagerClone, gc: false, path_cache: 0 });
-    }
-
-    /// The ISSUE's arena acceptance test: on a random expansion trace, every
-    /// state materialised from the delta arena equals the eagerly cloned
-    /// state, including after out-of-order materialisation (scratch misses).
+    /// On a random expansion trace, every state materialised from the arena
+    /// equals the eagerly cloned state, including after out-of-order
+    /// materialisation (scratch misses).
     #[test]
     fn materialised_states_equal_eager_clones_on_a_random_trace() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -790,7 +617,7 @@ mod tests {
         let problem = SchedulingProblem::new(graph, ProcNetwork::ring(3));
         let h = HeuristicKind::PaperStaticLevel;
 
-        let mut arena = arena(&problem, StoreKind::DeltaArena);
+        let mut arena = arena(&problem);
         let root = SearchState::initial(&problem);
         let mut eager: Vec<SearchState> = vec![root.clone()];
         let mut parents: Vec<StateId> = vec![arena.insert_root(root)];
@@ -841,7 +668,7 @@ mod tests {
     fn descendant_materialisation_reuses_the_scratch_state() {
         let problem = example_problem();
         let h = HeuristicKind::PaperStaticLevel;
-        let mut arena = arena(&problem, StoreKind::DeltaArena);
+        let mut arena = arena(&problem);
         let root = SearchState::initial(&problem);
         let d1 = root.peek_child(&problem, optsched_taskgraph::NodeId(0), ProcId(0), h);
         let root_id = arena.insert_root(root.clone());
@@ -858,6 +685,8 @@ mod tests {
         // Jumping back to the root still works (scratch rebuilt from the full slot).
         assert_eq!(arena.materialise(root_id).depth(), 0);
         assert_eq!(arena.materialise(c2).depth(), 2);
+        assert!(!arena.is_empty());
+        assert_eq!(arena.peak_live_full(), 2, "the root plus one scratch state");
     }
 
     /// Releasing the last handle on a leaf reclaims the whole dead chain up
@@ -867,7 +696,7 @@ mod tests {
     fn release_cascades_up_dead_chains_and_reuses_slots() {
         let problem = example_problem();
         let h = HeuristicKind::PaperStaticLevel;
-        let mut arena = arena(&problem, StoreKind::DeltaArena);
+        let mut arena = arena(&problem);
         let root = SearchState::initial(&problem);
         let d1 = root.peek_child(&problem, optsched_taskgraph::NodeId(0), ProcId(0), h);
         let root_id = arena.insert_root(root);
@@ -910,57 +739,6 @@ mod tests {
         assert_eq!(arena.peak_live_records(), 4);
     }
 
-    /// With reclamation off the arena is append-only: `release` is a no-op
-    /// and nothing is ever reclaimed (the PR 5 baseline layout).
-    #[test]
-    fn gc_off_restores_the_append_only_arena() {
-        let problem = example_problem();
-        let h = HeuristicKind::PaperStaticLevel;
-        let mut arena =
-            StateArena::new(&problem, ArenaConfig::from(StoreKind::DeltaArena).with_gc(false));
-        let root = SearchState::initial(&problem);
-        let d1 = root.peek_child(&problem, optsched_taskgraph::NodeId(0), ProcId(0), h);
-        let root_id = arena.insert_root(root);
-        let c1 = arena.insert_child(root_id, &d1);
-        arena.release(c1);
-        assert_eq!(arena.live_records(), 2);
-        assert_eq!(arena.reclaimed_records(), 0);
-        assert_eq!(arena.materialise(c1).depth(), 1, "the record is still there");
-    }
-
-    /// Eager slots are reclaimed directly (no chain): releasing an expanded
-    /// clone frees its full state immediately.
-    #[test]
-    fn eager_release_frees_full_clones() {
-        let problem = example_problem();
-        let h = HeuristicKind::PaperStaticLevel;
-        let mut arena = arena(&problem, StoreKind::EagerClone);
-        let root = SearchState::initial(&problem);
-        let d1 = root.peek_child(&problem, optsched_taskgraph::NodeId(0), ProcId(0), h);
-        let root_id = arena.insert_root(root);
-        let c1 = arena.insert_child(root_id, &d1);
-        let d2 = arena.materialise(c1).peek_child(&problem, optsched_taskgraph::NodeId(1), ProcId(1), h);
-        let c2 = arena.insert_child(c1, &d2);
-        arena.release(c1);
-        assert_eq!(arena.live_records(), 2);
-        assert_eq!(arena.reclaimed_records(), 1);
-        // The freed clone's slot is reused by the next insertion.
-        let c3 = arena.insert_child(c2, &root_id_delta(&arena, &problem, c2, h));
-        assert_eq!(c3, c1, "eager slots are reused too");
-        assert_eq!(arena.peak_live_full(), 3);
-    }
-
-    fn root_id_delta(
-        arena: &StateArena<'_>,
-        problem: &SchedulingProblem,
-        parent: StateId,
-        h: HeuristicKind,
-    ) -> ChildDelta {
-        let Slot::Full(s) = &arena.slots[parent as usize] else { panic!("not full") };
-        let n = s.ready_nodes(problem)[0];
-        s.peek_child(problem, n, ProcId(0), h)
-    }
-
     /// A long replay promotes the materialised state into the path-cache;
     /// jumping away and back then walks only to the cached ancestor instead
     /// of the root.
@@ -968,7 +746,7 @@ mod tests {
     fn path_cache_shortens_replays_after_jumps() {
         let problem = example_problem();
         let h = HeuristicKind::PaperStaticLevel;
-        let mut arena = arena(&problem, StoreKind::DeltaArena);
+        let mut arena = arena(&problem);
         let mut state = SearchState::initial(&problem);
         let mut id = arena.insert_root(state.clone());
         // A chain of depth 5 (>= promotion threshold).
@@ -1005,31 +783,6 @@ mod tests {
             saved_before + 5,
             "the cached base's five deltas were not replayed"
         );
-
-        // With the cache disabled the same jump replays from the root.
-        let mut no_cache =
-            StateArena::new(&problem, ArenaConfig::from(StoreKind::DeltaArena).with_path_cache(0));
-        let mut s = SearchState::initial(&problem);
-        let mut nid = no_cache.insert_root(s.clone());
-        for _ in 0..5 {
-            let n = s.ready_nodes(&problem)[0];
-            let d = s.peek_child(&problem, n, ProcId(0), h);
-            nid = no_cache.insert_child(nid, &d);
-            s.apply_delta_in_place(&problem, &d);
-        }
-        no_cache.materialise(nid);
-        let nroot = SearchState::initial(&problem);
-        let nsib_delta =
-            nroot.peek_child(&problem, nroot.ready_nodes(&problem)[0], ProcId(1), h);
-        let nsib = no_cache.insert_child(0, &nsib_delta);
-        no_cache.materialise(nsib);
-        let n = s.ready_nodes(&problem)[0];
-        let d = s.peek_child(&problem, n, ProcId(1), h);
-        let nchild = no_cache.insert_child(nid, &d);
-        let before = no_cache.replayed_deltas();
-        no_cache.materialise(nchild);
-        assert_eq!(no_cache.path_cache_hits(), 0);
-        assert_eq!(no_cache.replayed_deltas(), before + 6, "full replay from the root");
     }
 
     /// A replay long enough for midpoint promotion caches an intermediate
@@ -1044,7 +797,7 @@ mod tests {
         );
         let problem = SchedulingProblem::new(graph, ProcNetwork::ring(3));
         let h = HeuristicKind::PaperStaticLevel;
-        let mut arena = arena(&problem, StoreKind::DeltaArena);
+        let mut arena = arena(&problem);
         let mut state = SearchState::initial(&problem);
         let mut id = arena.insert_root(state.clone());
         // A chain of depth 8 (>= midpoint promotion threshold); remember the
@@ -1083,7 +836,7 @@ mod tests {
     fn compact_shrinks_capacity_and_preserves_live_ids() {
         let problem = example_problem();
         let h = HeuristicKind::PaperStaticLevel;
-        let mut arena = arena(&problem, StoreKind::DeltaArena);
+        let mut arena = arena(&problem);
         let mut state = SearchState::initial(&problem);
         let mut id = arena.insert_root(state.clone());
         let keep = {
@@ -1130,9 +883,9 @@ mod tests {
     }
 
     /// The transfer-adoption path of the parallel scheduler: a full state
-    /// adopted into a delta arena is re-rooted as a delta chain (no new live
+    /// adopted through its delta chain is re-rooted below slot 0 (no new live
     /// full state), materialises back to an identical state, and its
-    /// descendants replay correctly.  An eager arena stores one more clone.
+    /// descendants replay correctly.
     #[test]
     fn adopting_a_full_state_re_roots_it_without_live_fulls() {
         let mut rng = StdRng::seed_from_u64(9);
@@ -1160,10 +913,11 @@ mod tests {
             transfers.push(s);
         }
 
-        let mut delta = arena(&problem, StoreKind::DeltaArena);
+        let mut delta = arena(&problem);
         let root = delta.insert_root(SearchState::initial(&problem));
         assert_eq!(root, 0);
-        let ids: Vec<StateId> = transfers.iter().map(|s| delta.adopt(s.clone())).collect();
+        let ids: Vec<StateId> =
+            transfers.iter().map(|s| delta.adopt_chain(&s.to_delta_chain())).collect();
         // Re-rooting stores only delta records: still just the initial root
         // (plus at most one scratch state) live.
         assert!(delta.peak_live_full() <= 2, "peak {}", delta.peak_live_full());
@@ -1182,12 +936,6 @@ mod tests {
                 );
             }
         }
-
-        let mut eager = arena(&problem, StoreKind::EagerClone);
-        eager.insert_root(SearchState::initial(&problem));
-        let id = eager.adopt(transfers[0].clone());
-        assert_eq!(eager.materialise(id).signature(), transfers[0].signature());
-        assert_eq!(eager.peak_live_full(), 2, "eager adoption clones the state");
     }
 
     /// Chain shipping round-trip: `extract_chain` on the sender equals the
@@ -1212,16 +960,16 @@ mod tests {
         }
 
         // Sender: the stored chain is extracted without materialising.
-        let mut sender = arena(&problem, StoreKind::DeltaArena);
+        let mut sender = arena(&problem);
         sender.insert_root(SearchState::initial(&problem));
-        let sid = sender.adopt(state.clone());
+        let sid = sender.adopt_chain(&state.to_delta_chain());
         let wire = sender.extract_chain(sid);
         assert_eq!(wire, state.to_delta_chain());
         sender.release(sid);
         assert_eq!(sender.live_records(), 1, "shipped chain reclaimed on the sender");
 
         // Receiver: the chain adopts into an identical state.
-        let mut receiver = arena(&problem, StoreKind::DeltaArena);
+        let mut receiver = arena(&problem);
         let rid = receiver.adopt_chain(&wire);
         let got = receiver.materialise_owned(rid);
         assert_eq!(got.signature(), state.signature());
@@ -1231,11 +979,6 @@ mod tests {
 
         // The empty chain is the initial state (the pinned root).
         assert_eq!(receiver.adopt_chain(&[]), 0);
-
-        // An eager receiver replays the chain into one full clone.
-        let mut eager = arena(&problem, StoreKind::EagerClone);
-        let eid = eager.adopt_chain(&wire);
-        assert_eq!(eager.materialise(eid).signature(), state.signature());
     }
 
     /// Snapshot adoption stores a deep transfer as ONE record, descendants
@@ -1259,7 +1002,7 @@ mod tests {
             state = state.schedule_node(&problem, n, p, h);
         }
 
-        let mut delta = arena(&problem, StoreKind::DeltaArena);
+        let mut delta = arena(&problem);
         let id = delta.adopt_snapshot(state.clone());
         assert_eq!(delta.live_records(), 2, "the pinned initial root plus one snapshot");
         assert_eq!(delta.record_depth(id), state.depth() as usize);
@@ -1278,7 +1021,7 @@ mod tests {
         // receiver rebuilds the identical state from its own initial root.
         let wire = delta.extract_chain(child);
         assert_eq!(wire.len(), state.depth() as usize + 1);
-        let mut receiver = arena(&problem, StoreKind::DeltaArena);
+        let mut receiver = arena(&problem);
         let rid = receiver.adopt_chain(&wire);
         assert_eq!(receiver.materialise(rid).signature(), child_sig);
 
@@ -1288,14 +1031,14 @@ mod tests {
         assert_eq!(delta.live_records(), 1, "only the pinned root survives");
 
         // Depth-0 snapshots reuse the pinned root instead of duplicating it.
-        let mut fresh = arena(&problem, StoreKind::DeltaArena);
+        let mut fresh = arena(&problem);
         assert_eq!(fresh.adopt_snapshot(SearchState::initial(&problem)), 0);
         assert_eq!(fresh.live_records(), 1);
     }
 
-    /// `adopt` is total on delta arenas: an empty one seeds its own initial
-    /// root, and one mis-seeded with a non-initial root refuses to replay
-    /// chains onto the wrong base instead of corrupting state.
+    /// Chain adoption is total: an empty arena seeds its own initial root,
+    /// and one mis-seeded with a non-initial root refuses to replay chains
+    /// onto the wrong base instead of corrupting state.
     #[test]
     fn adopt_seeds_an_empty_delta_arena_with_the_initial_root() {
         let problem = example_problem();
@@ -1304,8 +1047,8 @@ mod tests {
             .schedule_node(&problem, optsched_taskgraph::NodeId(0), ProcId(0), h)
             .schedule_node(&problem, optsched_taskgraph::NodeId(1), ProcId(1), h);
 
-        let mut arena = arena(&problem, StoreKind::DeltaArena);
-        let id = arena.adopt(deep.clone());
+        let mut arena = arena(&problem);
+        let id = arena.adopt_chain(&deep.to_delta_chain());
         assert_eq!(arena.materialise(id).signature(), deep.signature());
         assert_eq!(arena.materialise(0).depth(), 0, "slot 0 is the seeded initial state");
     }
@@ -1321,33 +1064,8 @@ mod tests {
             ProcId(0),
             h,
         );
-        let mut arena = arena(&problem, StoreKind::DeltaArena);
+        let mut arena = arena(&problem);
         arena.insert_root(non_initial.clone());
-        let _ = arena.adopt(non_initial);
-    }
-
-    #[test]
-    fn peak_live_full_counts_stores_differently() {
-        let problem = example_problem();
-        let h = HeuristicKind::PaperStaticLevel;
-        let root = SearchState::initial(&problem);
-        let d = root.peek_child(&problem, optsched_taskgraph::NodeId(0), ProcId(0), h);
-
-        let mut eager = arena(&problem, StoreKind::EagerClone);
-        let r = eager.insert_root(root.clone());
-        let c = eager.insert_child(r, &d);
-        let _ = eager.materialise(c);
-        assert_eq!(eager.peak_live_full(), 2, "eager: every state is a full clone");
-        assert_eq!(eager.len(), 2);
-
-        let mut delta = arena(&problem, StoreKind::DeltaArena);
-        let r = delta.insert_root(root);
-        let c = delta.insert_child(r, &d);
-        let _ = delta.materialise(c);
-        assert_eq!(delta.peak_live_full(), 2, "delta: the root plus one scratch state");
-        assert_eq!(delta.len(), 2);
-        assert!(!delta.is_empty());
-        assert_eq!(delta.kind(), StoreKind::DeltaArena);
-        assert_eq!(delta.config().kind, StoreKind::DeltaArena);
+        let _ = arena.adopt_chain(&non_initial.to_delta_chain());
     }
 }

@@ -15,12 +15,11 @@
 //! * [`StateArena`] ([`arena`]) stores generated states as parent-id +
 //!   [`ChildDelta`](crate::state::ChildDelta) records and materialises a full
 //!   [`SearchState`] only when a state is selected for expansion, replacing
-//!   the clone-per-generation layout (still available as
-//!   [`StoreKind::EagerClone`] for the before/after measurement).  The arena
-//!   is not tied to [`run_search`]: the parallel scheduler's PPE workers each
-//!   own one, using [`StateArena::materialise_owned`] to materialise states
-//!   on *send* (load sharing / best-state election) and [`StateArena::adopt`]
-//!   to re-root received full states as delta chains on the receiving side.
+//!   the clone-per-generation layout.  The arena is not tied to
+//!   [`run_search`]: the parallel scheduler's PPE workers each own one,
+//!   shipping states as delta chains ([`StateArena::extract_chain`] /
+//!   [`StateArena::adopt_chain`]) or, past a depth threshold, as snapshots
+//!   ([`StateArena::materialise_owned`] / [`StateArena::adopt_snapshot`]).
 //! * [`expand_state`] is the shared per-child admission pipeline
 //!   (evaluate → bound-prune → duplicate-check), parameterised by the
 //!   [`DuplicateFilter`] hook; the parallel scheduler's PPE workers drive the
@@ -42,7 +41,7 @@ use crate::problem::SchedulingProblem;
 use crate::state::{ChildDelta, SearchState, StateSignature};
 use crate::stats::{SearchOutcome, SearchResult, SearchStats};
 
-pub use arena::{ArenaConfig, StateArena, StateId, StoreKind};
+pub use arena::{ArenaConfig, StateArena, StateId};
 pub use policy::{
     focal_threshold, AStarPolicy, BoundPolicy, DfsPolicy, FocalPolicy, FrontierPolicy, OpenEntry,
     WeightedAStarPolicy,
@@ -190,14 +189,12 @@ const TIME_CHECK_ALWAYS_BELOW_MS: u64 = 16;
 /// better — leaves the run bit-identical to the unwarmed one.  The caller
 /// must guarantee the schedule is feasible **for this problem**; the engine
 /// trusts it the same way it trusts the list schedule.
-#[allow(clippy::too_many_arguments)]
 pub fn run_search<P: FrontierPolicy>(
     problem: &SchedulingProblem,
     mut policy: P,
     pruning: PruningConfig,
     heuristic: HeuristicKind,
     limits: SearchLimits,
-    store: ArenaConfig,
     seed_incumbent: bool,
     warm_start: Option<&Schedule>,
 ) -> SearchResult {
@@ -209,7 +206,7 @@ pub fn run_search<P: FrontierPolicy>(
     let obs_track = if obs::enabled() { obs::next_track() } else { 0 };
     let _obs_span = obs::span("run_search", obs_track);
     let mut stats = SearchStats::default();
-    let mut arena = StateArena::new(problem, store);
+    let mut arena = StateArena::new(problem, ArenaConfig);
     let mut dup = SignatureSet::new();
     let mut seq: u64 = 0;
 
@@ -399,38 +396,6 @@ mod tests {
         assert_eq!(stats.duplicates, 1);
     }
 
-    /// Both store layouts drive the identical search: same optimum, same
-    /// counters; only the peak number of live full states differs.
-    #[test]
-    fn store_layouts_produce_identical_searches() {
-        let problem = example_problem();
-        let run = |store: StoreKind| {
-            run_search(
-                &problem,
-                AStarPolicy::new(true),
-                PruningConfig::all(),
-                HeuristicKind::PaperStaticLevel,
-                SearchLimits::unlimited(),
-                store.into(),
-                false,
-                None,
-            )
-        };
-        let eager = run(StoreKind::EagerClone);
-        let arena = run(StoreKind::DeltaArena);
-        assert_eq!(eager.schedule_length, 14);
-        assert_eq!(arena.schedule_length, 14);
-        assert_eq!(eager.stats.expanded, arena.stats.expanded);
-        assert_eq!(eager.stats.generated, arena.stats.generated);
-        assert_eq!(eager.stats.duplicates, arena.stats.duplicates);
-        assert!(
-            arena.stats.peak_live_states < eager.stats.peak_live_states,
-            "arena {} vs eager {}",
-            arena.stats.peak_live_states,
-            eager.stats.peak_live_states
-        );
-    }
-
     #[test]
     fn dfs_policy_enumerates_to_the_optimum() {
         let problem = example_problem();
@@ -440,57 +405,11 @@ mod tests {
             PruningConfig::none(),
             HeuristicKind::Zero,
             SearchLimits::unlimited(),
-            ArenaConfig::default(),
             false,
             None,
         );
         assert_eq!(r.outcome, SearchOutcome::Exhausted);
         assert_eq!(r.schedule_length, 14);
-    }
-
-    /// Reclamation and the path-cache are pure storage knobs: switching them
-    /// off must not move a single counter of the search itself, while the
-    /// default (on) run visibly reclaims records and bounds the live set.
-    #[test]
-    fn gc_and_path_cache_knobs_never_change_the_search() {
-        let problem = example_problem();
-        let run = |cfg: ArenaConfig| {
-            run_search(
-                &problem,
-                AStarPolicy::new(true),
-                PruningConfig::all(),
-                HeuristicKind::PaperStaticLevel,
-                SearchLimits::unlimited(),
-                cfg,
-                false,
-                None,
-            )
-        };
-        let on = run(ArenaConfig::default());
-        let off = run(ArenaConfig::default().with_gc(false).with_path_cache(0));
-        assert_eq!(on.schedule_length, off.schedule_length);
-        assert_eq!(
-            (on.stats.expanded, on.stats.generated, on.stats.duplicates),
-            (off.stats.expanded, off.stats.generated, off.stats.duplicates),
-            "storage lifecycle knobs leaked into search behaviour"
-        );
-        assert!(on.stats.reclaimed_records > 0, "default run reclaims dead chains");
-        assert_eq!(off.stats.reclaimed_records, 0, "gc off is append-only");
-        assert!(
-            on.stats.peak_live_records <= off.stats.peak_live_records,
-            "reclamation must not grow the live set: {} vs {}",
-            on.stats.peak_live_records,
-            off.stats.peak_live_records
-        );
-        assert!(
-            on.stats.peak_live_records < on.stats.generated,
-            "live records stay below the total ever generated"
-        );
-        assert_eq!(off.stats.path_cache_hits, 0, "cache disabled");
-        assert!(
-            on.stats.replayed_deltas <= off.stats.replayed_deltas,
-            "the path-cache must not lengthen replays"
-        );
     }
 
     /// The seeded mode prunes against the attained list incumbent (strictly)
@@ -506,7 +425,6 @@ mod tests {
                 PruningConfig::all(),
                 HeuristicKind::PaperStaticLevel,
                 SearchLimits::unlimited(),
-                ArenaConfig::default(),
                 seed,
                 None,
             )
@@ -542,7 +460,6 @@ mod tests {
                 PruningConfig::all(),
                 HeuristicKind::PaperStaticLevel,
                 SearchLimits::unlimited(),
-                ArenaConfig::default(),
                 true,
                 warm,
             )

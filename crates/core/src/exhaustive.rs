@@ -16,7 +16,7 @@
 use optsched_taskgraph::Cost;
 
 use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{run_search, ArenaConfig, DfsPolicy, StoreKind};
+use crate::engine::{run_search, DfsPolicy};
 use crate::problem::SchedulingProblem;
 use crate::stats::{SearchOutcome, SearchResult};
 
@@ -28,37 +28,18 @@ use crate::stats::{SearchOutcome, SearchResult};
 pub struct ExhaustiveScheduler<'a> {
     problem: &'a SchedulingProblem,
     limits: SearchLimits,
-    store: ArenaConfig,
 }
 
 impl<'a> ExhaustiveScheduler<'a> {
     /// Creates the enumerator.
     pub fn new(problem: &'a SchedulingProblem) -> Self {
-        ExhaustiveScheduler { problem, limits: SearchLimits::unlimited(), store: ArenaConfig::default() }
+        ExhaustiveScheduler { problem, limits: SearchLimits::unlimited() }
     }
 
     /// Applies resource limits to the run (previously the enumerator ignored
     /// them; on the engine they come for free).
     pub fn with_limits(mut self, limits: SearchLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Selects the state-store layout (delta arena by default).
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store.kind = store;
-        self
-    }
-
-    /// Enables or disables refcounted arena reclamation (on by default).
-    pub fn with_arena_gc(mut self, gc: bool) -> Self {
-        self.store.gc = gc;
-        self
-    }
-
-    /// Sets the materialisation path-cache capacity (0 disables it).
-    pub fn with_path_cache(mut self, entries: u32) -> Self {
-        self.store.path_cache = entries;
         self
     }
 
@@ -76,7 +57,6 @@ impl<'a> ExhaustiveScheduler<'a> {
             PruningConfig::none(),
             HeuristicKind::Zero,
             self.limits,
-            self.store,
             false,
             None,
         );

@@ -55,7 +55,7 @@ pub use aeps::AEpsScheduler;
 pub use astar::AStarScheduler;
 pub use bnb::ChenYuScheduler;
 pub use config::{HeuristicKind, PruningConfig, SearchLimits};
-pub use engine::{ArenaConfig, DuplicateFilter, FrontierPolicy, StateArena, StoreKind};
+pub use engine::{ArenaConfig, DuplicateFilter, FrontierPolicy, StateArena};
 pub use exhaustive::{exhaustive_optimal, ExhaustiveScheduler};
 pub use wastar::WAStarScheduler;
 pub use problem::SchedulingProblem;

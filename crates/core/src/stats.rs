@@ -45,22 +45,18 @@ pub struct SearchStats {
     /// Largest size of the OPEN list observed.
     pub max_open_size: usize,
     /// Largest number of fully materialised states the agent's *state store*
-    /// held live at once — the allocation proxy of the store.  With the
-    /// delta arena this is the root snapshot(s) plus one scratch state; with
-    /// the eager clone-per-generation store it is every state ever stored.
-    /// In the parallel scheduler this counts each PPE's arena; transfer
-    /// clones parked in the inter-PPE channels (bounded by the `in_flight`
-    /// gauge at any instant) are owned by no store and are *not* counted
-    /// here.
+    /// held live at once — the allocation proxy of the store: the root and
+    /// any adopted snapshots plus one scratch state.  In the parallel
+    /// scheduler this counts each PPE's arena; transfers parked in the
+    /// inter-PPE channels (bounded by the `in_flight` gauge at any instant)
+    /// are owned by no store and are *not* counted here.
     pub peak_live_states: u64,
-    /// Largest number of simultaneously live arena records (roots + delta
-    /// records) the agent's state store held — the O(live frontier) memory
-    /// proxy of the refcounted arena.  With reclamation on this tracks the
-    /// frontier; with it off it equals the total ever stored.
+    /// Largest number of simultaneously live arena records (roots, snapshots
+    /// and delta records) the agent's state store held — the O(live
+    /// frontier) memory proxy of the refcounted arena.
     pub peak_live_records: u64,
     /// Arena records reclaimed by refcounted release cascades (pruned,
-    /// duplicate-dropped or shipped-away subtrees).  Zero with reclamation
-    /// disabled.
+    /// duplicate-dropped or shipped-away subtrees).
     pub reclaimed_records: u64,
     /// Delta-chain materialisations performed by the arena (full-snapshot
     /// fast-path reads are free and not counted).

@@ -33,7 +33,7 @@
 use optsched_schedule::Schedule;
 
 use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{run_search, ArenaConfig, StoreKind, WeightedAStarPolicy};
+use crate::engine::{run_search, WeightedAStarPolicy};
 use crate::problem::SchedulingProblem;
 use crate::stats::SearchResult;
 
@@ -50,7 +50,6 @@ pub struct WAStarScheduler<'a> {
     pruning: PruningConfig,
     heuristic: HeuristicKind,
     limits: SearchLimits,
-    store: ArenaConfig,
     seed_incumbent: bool,
     warm_start: Option<Schedule>,
 }
@@ -69,7 +68,6 @@ impl<'a> WAStarScheduler<'a> {
             pruning: PruningConfig::all(),
             heuristic: HeuristicKind::PaperStaticLevel,
             limits: SearchLimits::unlimited(),
-            store: ArenaConfig::default(),
             seed_incumbent: false,
             warm_start: None,
         }
@@ -98,24 +96,6 @@ impl<'a> WAStarScheduler<'a> {
         self
     }
 
-    /// Selects the state-store layout (delta arena by default).
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store.kind = store;
-        self
-    }
-
-    /// Enables or disables refcounted arena reclamation (on by default).
-    pub fn with_arena_gc(mut self, gc: bool) -> Self {
-        self.store.gc = gc;
-        self
-    }
-
-    /// Sets the materialisation path-cache capacity (0 disables it).
-    pub fn with_path_cache(mut self, entries: u32) -> Self {
-        self.store.path_cache = entries;
-        self
-    }
-
     /// Treats the list-heuristic schedule as an attained incumbent (strict
     /// upper-bound pruning; see [`run_search`]).  Off by default.
     pub fn with_seeded_incumbent(mut self, seed: bool) -> Self {
@@ -139,7 +119,6 @@ impl<'a> WAStarScheduler<'a> {
             self.pruning,
             self.heuristic,
             self.limits,
-            self.store,
             self.seed_incumbent,
             self.warm_start.as_ref(),
         )

@@ -16,37 +16,26 @@
 //! stays exact.  The table still records the claimed `g` and re-opens a
 //! signature on a strictly better claim as a defensive measure.
 //!
-//! Two shard backends implement the claim protocol ([`TableBackend`]):
-//!
-//! * **`atomic`** (the default) — a chaining hash table of atomic bucket
-//!   heads over immutable push-front nodes.  A claim hashes its signature,
-//!   walks its bucket's chain (a fingerprint word short-circuits mismatched
-//!   nodes; a match is always decided by full signature equality) and, if
-//!   absent, publishes a heap node with one compare-and-swap on the head; a
-//!   loser re-walks only the prefix its race inserted and retries.  Nodes
-//!   are never removed or moved, so no locks, no spinning and no ABA; growth
-//!   is a non-event — the load factor rises and chains lengthen gracefully
-//!   (~`entries / 2^20` nodes per walk) instead of migrating or probing
-//!   saturated windows.
-//! * **`mutex`** — the PR 2 lock-striped `Mutex<HashMap>` shards, kept for
-//!   the ablation and as the reference model the atomic backend is
-//!   property-tested against.
-//!
-//! Both backends keep identical per-shard hit/miss/reopen counters with the
-//! exact `entries == misses` invariant.
+//! Each shard is a chaining hash table of atomic bucket heads over immutable
+//! push-front nodes.  A claim hashes its signature, walks its bucket's chain
+//! (a fingerprint word short-circuits mismatched nodes; a match is always
+//! decided by full signature equality) and, if absent, publishes a heap node
+//! with one compare-and-swap on the head; a loser re-walks only the prefix
+//! its race inserted and retries.  Nodes are never removed or moved, so no
+//! locks, no spinning and no ABA; growth is a non-event — the load factor
+//! rises and chains lengthen gracefully (~`entries / 2^20` nodes per walk)
+//! instead of migrating or probing saturated windows.  Every shard keeps
+//! hit/miss/reopen counters with the exact `entries == misses` invariant.
 //!
 //! Ownership of a claim travels with the state: when load sharing moves a
 //! state to another PPE, the receiver inserts it into its OPEN list without
 //! consulting the table (the claim is still "alive", merely held elsewhere),
 //! so a claimed state is never dropped by all PPEs at once.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
-
-use parking_lot::Mutex;
 
 use optsched_core::state::StateSignature;
 use optsched_taskgraph::Cost;
@@ -87,55 +76,6 @@ impl std::str::FromStr for DuplicateDetection {
     }
 }
 
-/// Which shard store a [`ShardedClosedTable`] claims through.
-///
-/// Selected per table at construction; [`ShardedClosedTable::new`] reads the
-/// `OPTSCHED_CLOSED_TABLE` environment knob (`atomic` is the default) so the
-/// conformance matrix and the ablation bins can pin either backend without a
-/// recompile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TableBackend {
-    /// Lock-striped `Mutex<HashMap>` shards (the PR 2 design; the reference
-    /// model for the atomic backend's property tests).
-    Mutex,
-    /// Lock-free chaining over atomic bucket heads: CAS claim, immutable
-    /// push-front nodes, migration-free growth.
-    #[default]
-    Atomic,
-}
-
-impl TableBackend {
-    /// The backend selected by `OPTSCHED_CLOSED_TABLE` (`mutex`|`atomic`),
-    /// defaulting to [`TableBackend::Atomic`] when unset or unparsable.
-    pub fn from_env() -> TableBackend {
-        std::env::var("OPTSCHED_CLOSED_TABLE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_default()
-    }
-}
-
-impl std::fmt::Display for TableBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TableBackend::Mutex => write!(f, "mutex"),
-            TableBackend::Atomic => write!(f, "atomic"),
-        }
-    }
-}
-
-impl std::str::FromStr for TableBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "mutex" | "locked" | "hashmap" => Ok(TableBackend::Mutex),
-            "atomic" | "lockfree" | "lock-free" => Ok(TableBackend::Atomic),
-            other => Err(format!("unknown closed-table backend `{other}` (expected mutex|atomic)")),
-        }
-    }
-}
-
 /// Result of [`ShardedClosedTable::try_claim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClaimOutcome {
@@ -150,9 +90,8 @@ pub enum ClaimOutcome {
     DuplicateOtherOwner,
 }
 
-/// How a claim resolved inside a shard store — the store reports the kind and
-/// the shard translates it into counter updates, so both backends keep
-/// bit-compatible counters by construction.
+/// How a claim resolved inside a shard's store — the store reports the kind
+/// and the table translates it into counter updates.
 enum ClaimKind {
     /// New signature inserted (counts as a miss).
     Fresh,
@@ -160,13 +99,6 @@ enum ClaimKind {
     Reopen,
     /// Duplicate dropped (counts as a hit); carries the owning PPE.
     Duplicate { owner: u32 },
-}
-
-/// A claim: the best `g` seen for the signature and the PPE that holds it.
-#[derive(Debug, Clone, Copy)]
-struct ClaimEntry {
-    g: Cost,
-    owner: u32,
 }
 
 // ---------------------------------------------------------------------------
@@ -329,10 +261,9 @@ impl Drop for AtomicStore {
     }
 }
 
-/// Duplicate/reopen resolution on an already-published entry, shared by the
-/// atomic probe loop.  The reopen CAS loop mirrors the mutex backend's
-/// replace-under-lock: only a strictly better `g` wins, and the owner follows
-/// the winning `g`.
+/// Duplicate/reopen resolution on an already-published entry, shared by both
+/// walks of [`AtomicStore::try_claim`]: only a strictly better `g` wins, and
+/// the owner follows the winning `g`.
 fn resolve_occupied(entry: &ClaimNode, g: Cost, owner: u32) -> ClaimKind {
     let mut current = entry.g.load(Ordering::Acquire);
     while g < current {
@@ -373,65 +304,19 @@ fn sig_hash(sig: &StateSignature) -> u64 {
 // Shards and the table
 // ---------------------------------------------------------------------------
 
-/// The per-shard claim store: one of the two [`TableBackend`]s.
-enum ShardStore {
-    Mutex(Mutex<HashMap<StateSignature, ClaimEntry>>),
-    Atomic(AtomicStore),
-}
-
-impl ShardStore {
-    fn try_claim(&self, sig: StateSignature, g: Cost, owner: u32) -> ClaimKind {
-        match self {
-            ShardStore::Mutex(map) => match map.lock().entry(sig) {
-                Entry::Occupied(mut e) => {
-                    if g < e.get().g {
-                        e.insert(ClaimEntry { g, owner });
-                        ClaimKind::Reopen
-                    } else {
-                        ClaimKind::Duplicate { owner: e.get().owner }
-                    }
-                }
-                Entry::Vacant(v) => {
-                    v.insert(ClaimEntry { g, owner });
-                    ClaimKind::Fresh
-                }
-            },
-            ShardStore::Atomic(store) => store.try_claim(sig, g, owner),
-        }
-    }
-
-    fn contains(&self, sig: &StateSignature) -> bool {
-        match self {
-            ShardStore::Mutex(map) => map.lock().contains_key(sig),
-            ShardStore::Atomic(store) => store.find(sig),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            ShardStore::Mutex(map) => map.lock().len(),
-            ShardStore::Atomic(store) => store.len(),
-        }
-    }
-}
-
 /// One shard: a claim store plus lock-free hit/miss counters (read without
 /// any lock by [`ShardedClosedTable::stats`]).
 struct Shard {
-    store: ShardStore,
+    store: AtomicStore,
     hits: AtomicU64,
     misses: AtomicU64,
     reopens: AtomicU64,
 }
 
 impl Shard {
-    fn new(backend: TableBackend, buckets: usize) -> Shard {
-        let store = match backend {
-            TableBackend::Mutex => ShardStore::Mutex(Mutex::new(HashMap::new())),
-            TableBackend::Atomic => ShardStore::Atomic(AtomicStore::new(buckets)),
-        };
+    fn new(buckets: usize) -> Shard {
         Shard {
-            store,
+            store: AtomicStore::new(buckets),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             reopens: AtomicU64::new(0),
@@ -503,7 +388,6 @@ impl ClosedTableStats {
 /// The sharded global CLOSED/duplicate-detection table.
 pub struct ShardedClosedTable {
     shards: Vec<Shard>,
-    backend: TableBackend,
     /// `shards.len() - 1`; shard count is a power of two so masking replaces
     /// the modulo on the hot path.
     mask: usize,
@@ -512,7 +396,6 @@ pub struct ShardedClosedTable {
 impl std::fmt::Debug for ShardedClosedTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedClosedTable")
-            .field("backend", &self.backend)
             .field("num_shards", &self.shards.len())
             .field("entries", &self.len())
             .finish()
@@ -522,36 +405,18 @@ impl std::fmt::Debug for ShardedClosedTable {
 impl ShardedClosedTable {
     /// Creates a table with `num_shards` shards, rounded up to the next power
     /// of two (minimum 1, capped at 1024 — beyond that the per-shard stores
-    /// cost more memory than they save in contention), using the backend
-    /// selected by the `OPTSCHED_CLOSED_TABLE` environment knob
-    /// ([`TableBackend::from_env`]; `atomic` by default).
+    /// cost more memory than they save in contention).
     pub fn new(num_shards: usize) -> ShardedClosedTable {
-        ShardedClosedTable::with_backend(num_shards, TableBackend::from_env())
-    }
-
-    /// As [`ShardedClosedTable::new`], but with an explicit backend — the
-    /// constructor the ablation bins and the reference-model property tests
-    /// use.
-    pub fn with_backend(num_shards: usize, backend: TableBackend) -> ShardedClosedTable {
         let n = num_shards.clamp(1, 1024).next_power_of_two();
-        // The atomic backend's bucket budget is a whole-table constant: more
-        // shards mean smaller per-shard arrays, not more memory.
+        // The bucket budget is a whole-table constant: more shards mean
+        // smaller per-shard arrays, not more memory.
         let buckets = (TOTAL_BUCKET_BUDGET / n).max(MIN_BUCKETS_PER_SHARD);
-        ShardedClosedTable {
-            shards: (0..n).map(|_| Shard::new(backend, buckets)).collect(),
-            backend,
-            mask: n - 1,
-        }
+        ShardedClosedTable { shards: (0..n).map(|_| Shard::new(buckets)).collect(), mask: n - 1 }
     }
 
     /// Number of shards (always a power of two).
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The shard backend in use.
-    pub fn backend(&self) -> TableBackend {
-        self.backend
     }
 
     fn shard_of(&self, sig: &StateSignature) -> &Shard {
@@ -588,7 +453,7 @@ impl ShardedClosedTable {
 
     /// True if `sig` has been claimed.
     pub fn contains(&self, sig: &StateSignature) -> bool {
-        self.shard_of(sig).store.contains(sig)
+        self.shard_of(sig).store.find(sig)
     }
 
     /// Total signatures claimed across all shards.
@@ -625,8 +490,6 @@ mod tests {
     use optsched_procnet::ProcNetwork;
     use optsched_taskgraph::paper_example_dag;
 
-    const BACKENDS: [TableBackend; 2] = [TableBackend::Mutex, TableBackend::Atomic];
-
     /// Distinct signatures harvested from a breadth-first enumeration of the
     /// paper example's state space (no pruning): real states, real hashes.
     fn signature_corpus() -> Vec<(StateSignature, Cost)> {
@@ -657,67 +520,60 @@ mod tests {
 
     #[test]
     fn first_claim_wins_and_owners_are_tracked() {
-        for backend in BACKENDS {
-            let table = ShardedClosedTable::with_backend(4, backend);
-            let corpus = signature_corpus();
-            let (sig, g) = corpus[0].clone();
-            assert!(!table.contains(&sig));
-            assert_eq!(table.try_claim(sig.clone(), g, 0), ClaimOutcome::Claimed);
-            assert_eq!(table.try_claim(sig.clone(), g, 0), ClaimOutcome::DuplicateSameOwner);
-            assert_eq!(table.try_claim(sig.clone(), g, 1), ClaimOutcome::DuplicateOtherOwner);
-            assert!(table.contains(&sig));
-            assert_eq!(table.len(), 1);
+        let table = ShardedClosedTable::new(4);
+        let corpus = signature_corpus();
+        let (sig, g) = corpus[0].clone();
+        assert!(!table.contains(&sig));
+        assert_eq!(table.try_claim(sig.clone(), g, 0), ClaimOutcome::Claimed);
+        assert_eq!(table.try_claim(sig.clone(), g, 0), ClaimOutcome::DuplicateSameOwner);
+        assert_eq!(table.try_claim(sig.clone(), g, 1), ClaimOutcome::DuplicateOtherOwner);
+        assert!(table.contains(&sig));
+        assert_eq!(table.len(), 1);
 
-            let stats = table.stats();
-            assert_eq!(stats.total_entries(), 1);
-            assert_eq!(stats.total_misses(), 1);
-            assert_eq!(stats.total_hits(), 2);
-            assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-9, "{backend}");
-        }
+        let stats = table.stats();
+        assert_eq!(stats.total_entries(), 1);
+        assert_eq!(stats.total_misses(), 1);
+        assert_eq!(stats.total_hits(), 2);
+        assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn better_g_reopens_a_signature() {
-        for backend in BACKENDS {
-            let table = ShardedClosedTable::with_backend(1, backend);
-            let (sig, g) = signature_corpus()[0].clone();
-            assert_eq!(table.try_claim(sig.clone(), g + 5, 0), ClaimOutcome::Claimed);
-            // Equal g: duplicate.  Strictly better g: re-claimed.
-            assert_eq!(table.try_claim(sig.clone(), g + 5, 1), ClaimOutcome::DuplicateOtherOwner);
-            assert_eq!(table.try_claim(sig.clone(), g, 1), ClaimOutcome::Claimed);
-            assert_eq!(table.try_claim(sig, g, 0), ClaimOutcome::DuplicateOtherOwner);
-            assert_eq!(table.len(), 1);
+        let table = ShardedClosedTable::new(1);
+        let (sig, g) = signature_corpus()[0].clone();
+        assert_eq!(table.try_claim(sig.clone(), g + 5, 0), ClaimOutcome::Claimed);
+        // Equal g: duplicate.  Strictly better g: re-claimed.
+        assert_eq!(table.try_claim(sig.clone(), g + 5, 1), ClaimOutcome::DuplicateOtherOwner);
+        assert_eq!(table.try_claim(sig.clone(), g, 1), ClaimOutcome::Claimed);
+        assert_eq!(table.try_claim(sig, g, 0), ClaimOutcome::DuplicateOtherOwner);
+        assert_eq!(table.len(), 1);
 
-            // A re-open replaces the entry and is counted separately, so the
-            // `entries == misses` invariant survives it.
-            let stats = table.stats();
-            assert_eq!(stats.total_misses(), 1);
-            assert_eq!(stats.total_reopens(), 1);
-            assert_eq!(stats.total_hits(), 2);
-            assert_eq!(stats.total_entries() as u64, stats.total_misses());
-        }
+        // A re-open replaces the entry and is counted separately, so the
+        // `entries == misses` invariant survives it.
+        let stats = table.stats();
+        assert_eq!(stats.total_misses(), 1);
+        assert_eq!(stats.total_reopens(), 1);
+        assert_eq!(stats.total_hits(), 2);
+        assert_eq!(stats.total_entries() as u64, stats.total_misses());
     }
 
     #[test]
     fn shard_count_is_a_power_of_two() {
-        for backend in BACKENDS {
-            assert_eq!(ShardedClosedTable::with_backend(0, backend).num_shards(), 1);
-            assert_eq!(ShardedClosedTable::with_backend(1, backend).num_shards(), 1);
-            assert_eq!(ShardedClosedTable::with_backend(5, backend).num_shards(), 8);
-            assert_eq!(ShardedClosedTable::with_backend(16, backend).num_shards(), 16);
-            assert_eq!(ShardedClosedTable::with_backend(1_000_000, backend).num_shards(), 1024);
-            let t = ShardedClosedTable::with_backend(6, backend);
-            assert!(t.is_empty());
-            assert_eq!(t.stats().num_shards(), 8);
-            assert_eq!(t.backend(), backend);
-        }
+        assert_eq!(ShardedClosedTable::new(0).num_shards(), 1);
+        assert_eq!(ShardedClosedTable::new(1).num_shards(), 1);
+        assert_eq!(ShardedClosedTable::new(5).num_shards(), 8);
+        assert_eq!(ShardedClosedTable::new(16).num_shards(), 16);
+        assert_eq!(ShardedClosedTable::new(1_000_000).num_shards(), 1024);
+        let t = ShardedClosedTable::new(6);
+        assert!(t.is_empty());
+        assert_eq!(t.stats().num_shards(), 8);
     }
 
     /// A single shard takes the whole corpus without losing or duplicating
     /// any signature, however dense its buckets get: chains simply lengthen.
     #[test]
     fn atomic_backend_survives_dense_single_shard_fill() {
-        let table = ShardedClosedTable::with_backend(1, TableBackend::Atomic);
+        let table = ShardedClosedTable::new(1);
         let corpus = signature_corpus();
         for (sig, g) in &corpus {
             assert_eq!(table.try_claim(sig.clone(), *g, 0), ClaimOutcome::Claimed);
@@ -741,64 +597,61 @@ mod tests {
     fn concurrent_claims_equal_a_serial_replay() {
         const THREADS: usize = 4;
         const ROUNDS: usize = 25;
-        for backend in BACKENDS {
-            let corpus = signature_corpus();
-            let table = ShardedClosedTable::with_backend(8, backend);
+        let corpus = signature_corpus();
+        let table = ShardedClosedTable::new(8);
 
-            let claim_wins: Vec<u64> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..THREADS)
-                    .map(|id| {
-                        let corpus = &corpus;
-                        let table = &table;
-                        scope.spawn(move || {
-                            let mut wins = 0u64;
-                            for round in 0..ROUNDS {
-                                // Rotate the iteration order per thread and round
-                                // so claims collide in every interleaving.
-                                let offset = (id * 7 + round * 13) % corpus.len();
-                                for i in 0..corpus.len() {
-                                    let (sig, g) = &corpus[(i + offset) % corpus.len()];
-                                    if table.try_claim(sig.clone(), *g, id) == ClaimOutcome::Claimed
-                                    {
-                                        wins += 1;
-                                    }
+        let claim_wins: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|id| {
+                    let corpus = &corpus;
+                    let table = &table;
+                    scope.spawn(move || {
+                        let mut wins = 0u64;
+                        for round in 0..ROUNDS {
+                            // Rotate the iteration order per thread and round
+                            // so claims collide in every interleaving.
+                            let offset = (id * 7 + round * 13) % corpus.len();
+                            for i in 0..corpus.len() {
+                                let (sig, g) = &corpus[(i + offset) % corpus.len()];
+                                if table.try_claim(sig.clone(), *g, id) == ClaimOutcome::Claimed {
+                                    wins += 1;
                                 }
                             }
-                            wins
-                        })
+                        }
+                        wins
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("stress thread panicked")).collect()
-            });
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("stress thread panicked")).collect()
+        });
 
-            // Serial replay: claiming the corpus on a fresh table yields exactly
-            // one entry (and one win) per distinct signature.
-            let replay = ShardedClosedTable::with_backend(8, backend);
-            let mut replay_wins = 0u64;
-            for (sig, g) in &corpus {
-                if replay.try_claim(sig.clone(), *g, 0) == ClaimOutcome::Claimed {
-                    replay_wins += 1;
-                }
+        // Serial replay: claiming the corpus on a fresh table yields exactly
+        // one entry (and one win) per distinct signature.
+        let replay = ShardedClosedTable::new(8);
+        let mut replay_wins = 0u64;
+        for (sig, g) in &corpus {
+            if replay.try_claim(sig.clone(), *g, 0) == ClaimOutcome::Claimed {
+                replay_wins += 1;
             }
-            assert_eq!(replay_wins, corpus.len() as u64);
-            assert_eq!(replay.len(), corpus.len());
-
-            // No lost updates: same total wins, same final contents.
-            let total_wins: u64 = claim_wins.iter().sum();
-            assert_eq!(total_wins, replay_wins, "{backend}: a claim was lost or double-granted");
-            assert_eq!(table.len(), replay.len());
-            for (sig, _) in &corpus {
-                assert!(table.contains(sig));
-            }
-
-            // Counter bookkeeping: every attempt is either a hit or a miss, and
-            // entries mirror the successful claims.
-            let stats = table.stats();
-            let attempts = (THREADS * ROUNDS * corpus.len()) as u64;
-            assert_eq!(stats.total_hits() + stats.total_misses(), attempts);
-            assert_eq!(stats.total_misses(), total_wins);
-            assert_eq!(stats.total_entries(), corpus.len());
         }
+        assert_eq!(replay_wins, corpus.len() as u64);
+        assert_eq!(replay.len(), corpus.len());
+
+        // No lost updates: same total wins, same final contents.
+        let total_wins: u64 = claim_wins.iter().sum();
+        assert_eq!(total_wins, replay_wins, "a claim was lost or double-granted");
+        assert_eq!(table.len(), replay.len());
+        for (sig, _) in &corpus {
+            assert!(table.contains(sig));
+        }
+
+        // Counter bookkeeping: every attempt is either a hit or a miss, and
+        // entries mirror the successful claims.
+        let stats = table.stats();
+        let attempts = (THREADS * ROUNDS * corpus.len()) as u64;
+        assert_eq!(stats.total_hits() + stats.total_misses(), attempts);
+        assert_eq!(stats.total_misses(), total_wins);
+        assert_eq!(stats.total_entries(), corpus.len());
     }
 
     #[test]
@@ -816,16 +669,5 @@ mod tests {
         assert_eq!(DuplicateDetection::Local.to_string(), "local");
         assert_eq!(DuplicateDetection::ShardedGlobal.to_string(), "sharded");
         assert_eq!(DuplicateDetection::default(), DuplicateDetection::ShardedGlobal);
-    }
-
-    #[test]
-    fn backend_parses_and_displays() {
-        assert_eq!("mutex".parse::<TableBackend>().unwrap(), TableBackend::Mutex);
-        assert_eq!("ATOMIC".parse::<TableBackend>().unwrap(), TableBackend::Atomic);
-        assert_eq!("lock-free".parse::<TableBackend>().unwrap(), TableBackend::Atomic);
-        assert!("bogus".parse::<TableBackend>().is_err());
-        assert_eq!(TableBackend::Mutex.to_string(), "mutex");
-        assert_eq!(TableBackend::Atomic.to_string(), "atomic");
-        assert_eq!(TableBackend::default(), TableBackend::Atomic);
     }
 }

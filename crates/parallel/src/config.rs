@@ -1,6 +1,6 @@
 //! Configuration of the parallel search.
 
-use optsched_core::{HeuristicKind, PruningConfig, SearchLimits, StoreKind};
+use optsched_core::{HeuristicKind, PruningConfig, SearchLimits};
 use optsched_procnet::Topology;
 
 use crate::closed::DuplicateDetection;
@@ -29,41 +29,16 @@ pub struct ParallelConfig {
     /// floor (the paper uses 2).
     pub min_comm_period: u64,
     /// How duplicate states are detected across PPEs: the paper's per-PPE
-    /// private CLOSED lists (`Local`), or one global lock-striped table
+    /// private CLOSED lists (`Local`), or one global lock-free sharded table
     /// (`ShardedGlobal`, the default) that drops a state at generation time
     /// when *any* PPE has already claimed its signature.
     pub duplicate_detection: DuplicateDetection,
-    /// Number of lock stripes of the sharded global CLOSED table (rounded up
-    /// to a power of two; ignored in `Local` mode).  More shards mean less
-    /// lock contention at a small memory cost; 16 is plenty for the thread
-    /// counts the paper evaluates.
+    /// Number of shards of the global CLOSED table (rounded up to a power of
+    /// two; ignored in `Local` mode).  Each shard keeps its own counters; the
+    /// table's bucket budget is split across them, so the count changes how
+    /// claims spread, not the memory; 16 is plenty for the thread counts the
+    /// paper evaluates.
     pub num_shards: usize,
-    /// Layout of each PPE's private state store.  With the default
-    /// [`StoreKind::DeltaArena`] a worker's OPEN list holds arena ids and the
-    /// generated states live as parent-id + delta records, materialised only
-    /// on expansion and on load-share/election send; received states are
-    /// re-rooted as delta chains.  [`StoreKind::EagerClone`] is the
-    /// clone-per-generation baseline, defined exactly as for the serial
-    /// engine: every admitted state is materialised immediately and retained
-    /// in the arena for the whole run (the pre-arena *workers* freed popped
-    /// states, so their OPEN high-water mark — still reported as
-    /// `max_open_size` — is the tighter historical comparison point).
-    pub store: StoreKind,
-    /// Refcounted reclamation of dead delta chains in each PPE's arena (on
-    /// by default; it never changes the search, see the engine's arena
-    /// documentation).  Off restores the append-only store of PR 4/5 for
-    /// before/after measurements.
-    pub arena_gc: bool,
-    /// Capacity of each PPE arena's materialisation path-cache (0 disables
-    /// it; see [`optsched_core::ArenaConfig::path_cache`]).
-    pub path_cache: u32,
-    /// Largest number of states the `ShardedGlobal` best-state election
-    /// ships in one phase when the receiver's published frontier minimum is
-    /// *far* worse than this PPE's best `f` (empty, or more than 25% above).
-    /// Every batch member is still strictly better than the receiver's
-    /// published minimum; 1 restores the single-transfer election.  Ignored
-    /// in `Local` mode, whose election sends copies.
-    pub election_batch: u32,
     /// Resource limits applied to the whole parallel run (expansions and
     /// generations are counted across all PPEs).
     pub limits: SearchLimits,
@@ -80,10 +55,6 @@ impl Default for ParallelConfig {
             min_comm_period: 2,
             duplicate_detection: DuplicateDetection::default(),
             num_shards: 16,
-            store: StoreKind::default(),
-            arena_gc: true,
-            path_cache: 8,
-            election_batch: 4,
             limits: SearchLimits::unlimited(),
         }
     }
@@ -103,26 +74,6 @@ impl ParallelConfig {
     /// Returns this configuration with the given duplicate-detection mode.
     pub fn with_duplicate_detection(self, mode: DuplicateDetection) -> ParallelConfig {
         ParallelConfig { duplicate_detection: mode, ..self }
-    }
-
-    /// Returns this configuration with the given per-PPE state-store layout.
-    pub fn with_store(self, store: StoreKind) -> ParallelConfig {
-        ParallelConfig { store, ..self }
-    }
-
-    /// Returns this configuration with arena reclamation switched on or off.
-    pub fn with_arena_gc(self, arena_gc: bool) -> ParallelConfig {
-        ParallelConfig { arena_gc, ..self }
-    }
-
-    /// Returns this configuration with the given per-PPE path-cache capacity.
-    pub fn with_path_cache(self, path_cache: u32) -> ParallelConfig {
-        ParallelConfig { path_cache, ..self }
-    }
-
-    /// Returns this configuration with the given election batch size.
-    pub fn with_election_batch(self, election_batch: u32) -> ParallelConfig {
-        ParallelConfig { election_batch, ..self }
     }
 
     /// The undirected neighbour lists of the PPE network.
@@ -186,30 +137,6 @@ mod tests {
         // The rest of the configuration is untouched.
         assert_eq!(local.num_ppes, 4);
         assert_eq!(local.num_shards, ParallelConfig::default().num_shards);
-    }
-
-    #[test]
-    fn store_knob_defaults_to_the_delta_arena() {
-        assert_eq!(ParallelConfig::default().store, StoreKind::DeltaArena);
-        let eager = ParallelConfig::exact(4).with_store(StoreKind::EagerClone);
-        assert_eq!(eager.store, StoreKind::EagerClone);
-        assert_eq!(eager.num_ppes, 4);
-    }
-
-    #[test]
-    fn arena_lifecycle_knobs_default_on() {
-        let c = ParallelConfig::default();
-        assert!(c.arena_gc);
-        assert_eq!(c.path_cache, 8);
-        assert_eq!(c.election_batch, 4);
-        let tuned = ParallelConfig::exact(4)
-            .with_arena_gc(false)
-            .with_path_cache(0)
-            .with_election_batch(1);
-        assert!(!tuned.arena_gc);
-        assert_eq!(tuned.path_cache, 0);
-        assert_eq!(tuned.election_batch, 1);
-        assert_eq!(tuned.num_ppes, 4);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! **Beyond the paper**: on shared memory the private per-PPE CLOSED lists
 //! are optional.  By default duplicate detection is *global*: a sharded,
-//! lock-striped CLOSED table ([`closed::ShardedClosedTable`]) shared by all
+//! lock-free CLOSED table ([`closed::ShardedClosedTable`]) shared by all
 //! PPEs drops a state at generation time when any PPE has already claimed an
 //! equal-or-better partial schedule, eliminating the redundant cross-PPE
 //! expansions of the paper's design.  Select the paper's behaviour with
@@ -27,9 +27,9 @@
 //!
 //! Two further shared-memory departures (PR 4): each PPE stores its frontier
 //! in an arena of parent-id + delta records
-//! ([`StateArena`](optsched_core::engine::StateArena), selected by
-//! [`ParallelConfig::store`]), materialising full states only on expansion
-//! and on send, so a worker's live full states stay at root-plus-scratch; and
+//! ([`StateArena`](optsched_core::engine::StateArena)), materialising full
+//! states only on expansion and on send, so a worker's live full states are
+//! its root, one scratch state and any adopted snapshot transfers; and
 //! in sharded mode the best-state election *transfers claim ownership* of the
 //! elected state to the neighbour with the worst frontier instead of sending
 //! a copy that the receiver would immediately drop as a global duplicate
@@ -54,7 +54,7 @@ pub mod config;
 pub mod result;
 pub mod scheduler;
 
-pub use closed::{ClaimOutcome, ClosedTableStats, DuplicateDetection, ShardedClosedTable, TableBackend};
+pub use closed::{ClaimOutcome, ClosedTableStats, DuplicateDetection, ShardedClosedTable};
 pub use config::ParallelConfig;
 pub use result::ParallelSearchResult;
 pub use scheduler::ParallelAStarScheduler;

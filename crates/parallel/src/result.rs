@@ -27,7 +27,7 @@ pub struct ParallelSearchResult {
     pub num_ppes: usize,
     /// High-water mark of the `in_flight` gauge in fixed-size state
     /// *records*: one per scheduled node of a shipped delta chain, `v` (the
-    /// node count) per full clone shipped by the eager store.  Whatever is
+    /// node count) per snapshot.  Whatever is
     /// parked in the inter-PPE channels is owned by no PPE's state store, so
     /// it escapes the per-PPE `peak_live_states` counters; the result folds
     /// the peak back in (see [`ParallelSearchResult::peak_live_states`]) so
@@ -74,12 +74,11 @@ impl ParallelSearchResult {
     }
 
     /// The run's live-full-state memory headline: the largest number of
-    /// fully materialised states any single PPE's store held at once
-    /// (root-plus-scratch with the delta arena, every stored state with
-    /// `StoreKind::EagerClone`) **plus** the in-flight transfer high-water
-    /// mark — clones parked in the channels belong to no store, and before
-    /// they were folded in here an eagerly communicating run could park an
-    /// unbounded number of full states in flight without the headline
+    /// fully materialised states any single PPE's store held at once (root,
+    /// scratch and adopted snapshots) **plus** the in-flight transfer
+    /// high-water mark — states parked in the channels belong to no store,
+    /// and before they were folded in here an eagerly communicating run could
+    /// park an unbounded number of full states in flight without the headline
     /// moving.  The store-only component remains available as
     /// `total_stats().peak_live_states`.
     pub fn peak_live_states(&self) -> u64 {

@@ -24,21 +24,17 @@
 //!   beat the incumbent (within the ε bound, if any) raises the global
 //!   termination flag.
 //!
-//! Since PR 4 each PPE stores its search frontier in a private
-//! [`StateArena`]: OPEN holds arena ids ordered by `(f, h, FIFO)`, generated
-//! children live as parent-id + [`ChildDelta`] records, and a full
-//! [`SearchState`] is built only when a state is selected for expansion
-//! (scratch replay).  Transfers between PPEs ship the state's *delta chain*
-//! (≤ v fixed-size records, extracted without materialising) rather than a
-//! full clone; the receiver re-roots the chain below its own slot-0 initial
-//! state, so a PPE's live full states stay at root-plus-scratch regardless of
-//! OPEN size or transfer volume.  With the refcounted arena (on by default)
-//! expanded, goal-popped and shipped-away states release their records, so
+//! Each PPE stores its search frontier in a private [`StateArena`]: OPEN
+//! holds arena ids ordered by `(f, h, FIFO)`, generated children live as
+//! parent-id + [`ChildDelta`] records, and a full [`SearchState`] is built
+//! only when a state is selected for expansion (scratch replay).  A shallow
+//! state moves between PPEs as its *delta chain* (extracted without
+//! materialising, re-rooted below the receiver's slot-0 initial state); one
+//! deeper than [`SNAPSHOT_DEPTH_THRESHOLD`] moves as a single snapshot.
+//! Expanded, goal-popped and shipped-away states release their records, so
 //! the record count tracks the live frontier instead of the whole history.
-//! [`StoreKind::EagerClone`] retains the clone-per-generation layout — and
-//! full-clone transfers — as the measurable baseline; the `in_flight` gauge
-//! counts fixed-size *records* (one per scheduled node of a chain, `v` per
-//! full clone) so the two transfer forms are compared in the same unit.
+//! The `in_flight` gauge counts fixed-size *records* (one per scheduled node
+//! of a chain, `v` per snapshot) so both transfer forms share one unit.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -49,7 +45,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use optsched_core::engine::{
-    expand_state, ArenaConfig, DuplicateFilter, ExpansionContext, StateArena, StateId, StoreKind,
+    expand_state, ArenaConfig, DuplicateFilter, ExpansionContext, StateArena, StateId,
 };
 use optsched_core::state::{ChildDelta, StateSignature};
 use optsched_core::{SchedulingProblem, SearchOutcome, SearchState, SearchStats};
@@ -96,29 +92,34 @@ impl Ord for HeapEntry {
 /// shallow chain is a couple of fixed-size records — cheaper than a clone on
 /// both ends — but a deep one costs the receiver `d` record insertions plus a
 /// refcount cascade of `d` releases when the state dies, which is what kept
-/// the arena store behind the eager baseline on transfer-heavy runs.  A
-/// snapshot adopts (and reclaims) as one record and doubles as a nearby
-/// replay base for every descendant.
+/// transfer-heavy runs slow.  A snapshot adopts (and reclaims) as one record
+/// and doubles as a nearby replay base for every descendant.
 const SNAPSHOT_DEPTH_THRESHOLD: usize = 4;
+
+/// Largest number of states the `ShardedGlobal` best-state election ships in
+/// one phase when the receiver's published frontier minimum is *far* worse
+/// than this PPE's best `f` (empty, or more than 25% above).  Every batch
+/// member is still strictly better than the receiver's published minimum.
+const ELECTION_BATCH: usize = 4;
 
 /// The wire form of a state travelling between PPEs.
 #[derive(Clone)]
 enum Payload {
-    /// A fully materialised clone — the eager store's native transfer form,
-    /// and the delta store's form for states deeper than
-    /// [`SNAPSHOT_DEPTH_THRESHOLD`] (adopted as a single snapshot record).
+    /// A fully materialised clone — the form of states deeper than
+    /// [`SNAPSHOT_DEPTH_THRESHOLD`] and of the initial distribution, adopted
+    /// as a single snapshot record.
     Full(SearchState),
     /// A root-anchored delta chain (depth-ordered, last delta carries the
-    /// state's true `g`/`h`) — the arena store's transfer form: at most `v`
-    /// fixed-size [`ChildDelta`] records, extracted from the sender's arena
-    /// without materialising and re-rooted below the receiver's slot-0
-    /// initial state.
+    /// state's true `g`/`h`) — the form of shallow states: at most
+    /// [`SNAPSHOT_DEPTH_THRESHOLD`] fixed-size [`ChildDelta`] records,
+    /// extracted from the sender's arena without materialising and re-rooted
+    /// below the receiver's slot-0 initial state.
     Chain(Vec<ChildDelta>),
 }
 
 impl Payload {
     /// Channel footprint in fixed-size records: one per scheduled node of a
-    /// chain, one per node (`v`) for a full clone — the unit in which the
+    /// chain, one per node (`v`) for a snapshot — the unit in which the
     /// `in_flight` gauge and its peak are kept.
     fn records(&self, problem: &SchedulingProblem) -> u64 {
         match self {
@@ -290,7 +291,7 @@ struct Shared {
     /// Size of each PPE's OPEN list (for load sharing).
     open_sizes: Vec<AtomicUsize>,
     /// Fixed-size state records currently travelling between PPEs (one per
-    /// scheduled node of a shipped delta chain, `v` per full clone).  Zero
+    /// scheduled node of a shipped delta chain, `v` per snapshot).  Zero
     /// exactly when no transfer is outstanding, which is all the termination
     /// test needs.
     in_flight: AtomicI64,
@@ -564,13 +565,9 @@ fn ppe_worker(
     let _obs_span = obs::span("ppe", obs_track).with_arg("ppe", id as u64);
     let mut stats = SearchStats::default();
     let mut open: BinaryHeap<HeapEntry> = BinaryHeap::new();
-    let mut arena = StateArena::new(
-        problem,
-        ArenaConfig::from(cfg.store).with_gc(cfg.arena_gc).with_path_cache(cfg.path_cache),
-    );
-    // Slot 0 is the problem's initial (empty) state: a delta arena re-roots
-    // every state received from another PPE as a delta chain below it, so
-    // transfers never add live full states on the receiving side.
+    let mut arena = StateArena::new(problem, ArenaConfig);
+    // Slot 0 is the problem's initial (empty) state: chains received from
+    // other PPEs are re-rooted below it.
     arena.insert_root(SearchState::initial(problem));
     let mut dup = match &shared.closed {
         Some(table) => DupFilter::Global { table, id },
@@ -746,9 +743,9 @@ fn ppe_worker(
         kept.clear();
         let mut popped_goal = false;
         {
-            // Materialise the selected state (scratch replay in the delta
-            // layout); the borrow lasts until the children collected in
-            // `kept` are stored, mirroring the serial engine's loop.
+            // Materialise the selected state (scratch replay); the borrow
+            // lasts until the children collected in `kept` are stored,
+            // mirroring the serial engine's loop.
             let state = arena.materialise(entry.id);
             if state.is_goal(problem) {
                 // Goal broadcast: publish and keep searching until the global
@@ -764,9 +761,8 @@ fn ppe_worker(
                 // admission pipeline: each candidate is evaluated
                 // allocation-free, pruned against the shared incumbent, and
                 // claimed through the duplicate-detection hook (private set
-                // or sharded global table); only survivors are stored — as
-                // delta records in the arena layout, materialised clones in
-                // the eager baseline.
+                // or sharded global table); only survivors are stored, as
+                // delta records.
                 expand_state(
                     ExpansionContext { problem, pruning: &cfg.pruning, heuristic: cfg.heuristic },
                     state,
@@ -796,8 +792,8 @@ fn ppe_worker(
             open.push(HeapEntry { key: (f, delta.h, counter), id: child });
         }
         // The popped state's own handle is done: children hold their own
-        // references up the chain, so with reclamation on, dead subtrees
-        // (no surviving children) release their records here.
+        // references up the chain, so dead subtrees (no surviving children)
+        // release their records here.
         arena.release(entry.id);
         if popped_goal {
             // Goal pops never trigger the communication phase (unchanged
@@ -815,9 +811,9 @@ fn ppe_worker(
                 DuplicateDetection::Local => {
                     // The paper's election: offer a *copy* of this PPE's best
                     // state to every neighbour (each receiver keeps or drops
-                    // it through its own duplicate detection).  A delta arena
-                    // ships a shallow state's chain without materialising it
-                    // and a deep one as a single snapshot.
+                    // it through its own duplicate detection).  A shallow
+                    // state ships as its chain without materialising it, a
+                    // deep one as a single snapshot.
                     if let Some(best) = open.peek() {
                         let payload = extract_payload(&mut arena, best.id);
                         let records = payload.records(problem);
@@ -858,7 +854,7 @@ fn ppe_worker(
                         if let Some((nb_min_f, Reverse(nb))) = target {
                             let far_worse =
                                 nb_min_f == u64::MAX || nb_min_f > best_f + (best_f >> 2);
-                            let batch = if far_worse { cfg.election_batch.max(1) } else { 1 };
+                            let batch = if far_worse { ELECTION_BATCH } else { 1 };
                             let mut shipped = 0u64;
                             for _ in 0..batch {
                                 if !open.peek().is_some_and(|e| e.key.0 < nb_min_f) {
@@ -913,9 +909,9 @@ fn ppe_worker(
                         open.push(k);
                     }
                     for (i, sid) in outgoing.into_iter().enumerate() {
-                        // Chain-on-send: the state leaves a delta arena as
-                        // its ≤ v-record delta chain (full clone from the
-                        // eager store).  Shipping transfers ownership (see
+                        // Chain-on-send: a shallow state leaves as its delta
+                        // chain, a deep one as a snapshot.  Shipping transfers
+                        // ownership (see
                         // `DupFilter::release`): the receiver force-inserts
                         // it, so the sole live copy of a claimed signature is
                         // never dropped by both sides of an exchange.
@@ -934,10 +930,10 @@ fn ppe_worker(
         }
     }
 
-    // The arena is the PPE's only holder of full states: every state in the
-    // eager layout, root + scratch (plus nothing per OPEN entry) in the
-    // delta layout.  The record counters report the O(live frontier)
-    // behaviour of the refcounted store and the replay work behind it.
+    // The arena is the PPE's only holder of full states: root, scratch and
+    // adopted snapshots (nothing per OPEN entry).  The record counters report
+    // the O(live frontier) behaviour of the refcounted store and the replay
+    // work behind it.
     stats.peak_live_states = arena.peak_live_full() as u64;
     stats.peak_live_records = arena.peak_live_records() as u64;
     stats.reclaimed_records = arena.reclaimed_records();
@@ -956,17 +952,13 @@ fn ppe_worker(
 }
 
 /// Builds the wire form of state `id` without disturbing the sender's store:
-/// a shallow delta-arena state leaves as its raw chain, a deep one (past
-/// [`SNAPSHOT_DEPTH_THRESHOLD`]) and every eager state as a materialised
-/// snapshot clone.
+/// a shallow state leaves as its raw chain, a deep one (past
+/// [`SNAPSHOT_DEPTH_THRESHOLD`]) as a materialised snapshot clone.
 fn extract_payload(arena: &mut StateArena<'_>, id: StateId) -> Payload {
-    match arena.kind() {
-        StoreKind::DeltaArena if arena.record_depth(id) <= SNAPSHOT_DEPTH_THRESHOLD => {
-            Payload::Chain(arena.extract_chain(id))
-        }
-        StoreKind::DeltaArena | StoreKind::EagerClone => {
-            Payload::Full(arena.materialise_owned(id))
-        }
+    if arena.record_depth(id) <= SNAPSHOT_DEPTH_THRESHOLD {
+        Payload::Chain(arena.extract_chain(id))
+    } else {
+        Payload::Full(arena.materialise_owned(id))
     }
 }
 
@@ -990,7 +982,7 @@ fn extract_owned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optsched_core::{AStarScheduler, PruningConfig, SearchLimits, StoreKind};
+    use optsched_core::{AStarScheduler, PruningConfig, SearchLimits};
     use optsched_procnet::{ProcNetwork, Topology};
     use optsched_taskgraph::paper_example_dag;
     use optsched_workload::{generate_random_dag, RandomDagConfig};
@@ -1128,6 +1120,11 @@ mod tests {
         let total = r.total_stats();
         assert!(total.generated > 0);
         assert!(total.expanded > 0);
+        assert!(total.reclaimed_records > 0, "the default run reclaims dead records");
+        assert!(
+            total.peak_live_records < total.generated,
+            "live records stay below the total ever generated"
+        );
         assert!(r.load_imbalance() >= 1.0);
         assert!(r.elapsed.as_secs() < 30);
     }
@@ -1221,12 +1218,12 @@ mod tests {
         }
     }
 
-    /// The PR 4 tentpole, observed from the outside: both store layouts stay
-    /// exact and agree on the optimum, while the delta arena holds at most
-    /// the initial root plus one scratch state live per PPE — OPEN size and
-    /// transfer volume no longer cost full states.
+    /// The arena store, observed from the outside: under eager communication
+    /// every PPE stays exact and agrees with serial A*, while the per-PPE
+    /// stores hold only roots, scratch states and adopted snapshot transfers
+    /// — OPEN size no longer costs full states.
     #[test]
-    fn arena_store_matches_eager_store_with_tiny_live_footprint() {
+    fn arena_store_matches_serial_with_tiny_live_footprint() {
         let mut rng = StdRng::seed_from_u64(11);
         let g = generate_random_dag(
             &RandomDagConfig { nodes: 10, ccr: 1.0, ..Default::default() },
@@ -1244,48 +1241,24 @@ mod tests {
                     ..Default::default()
                 }
                 .with_duplicate_detection(mode);
-                let arena = ParallelAStarScheduler::new(&problem, cfg).run();
-                let eager = ParallelAStarScheduler::new(
-                    &problem,
-                    cfg.with_store(StoreKind::EagerClone),
-                )
-                .run();
-                assert!(arena.is_optimal() && eager.is_optimal(), "mode={mode}");
-                assert_eq!(arena.schedule_length(), serial.schedule_length, "mode={mode}");
-                assert_eq!(eager.schedule_length(), serial.schedule_length, "mode={mode}");
-                // The delta arena's stores hold roots, scratch states and
-                // adopted snapshot transfers — a subset of the live records
-                // plus one scratch per PPE; the airtight headline
-                // additionally folds in the in-flight transfer peak (these
-                // eager-communication runs park real clones in the
-                // channels).  Only the delta store rebuilds by replay.
+                let r = ParallelAStarScheduler::new(&problem, cfg).run();
+                assert!(r.is_optimal(), "mode={mode}");
+                assert_eq!(r.schedule_length(), serial.schedule_length, "mode={mode}");
+                // Full states are a subset of the live records plus one
+                // scratch per PPE; the airtight headline additionally folds
+                // in the in-flight transfer peak.
+                let total = r.total_stats();
                 assert!(
-                    arena.total_stats().peak_live_states
-                        <= arena.total_stats().peak_live_records + cfg.num_ppes as u64,
-                    "mode={mode}: delta arena held {} live full states over {} records",
-                    arena.total_stats().peak_live_states,
-                    arena.total_stats().peak_live_records
+                    total.peak_live_states <= total.peak_live_records + cfg.num_ppes as u64,
+                    "mode={mode}: arena held {} live full states over {} records",
+                    total.peak_live_states,
+                    total.peak_live_records
                 );
-                assert!(
-                    arena.total_stats().replayed_deltas > 0,
-                    "mode={mode}: the delta store expands by replay"
-                );
+                assert!(total.replayed_deltas > 0, "mode={mode}: the arena expands by replay");
                 assert_eq!(
-                    eager.total_stats().replayed_deltas,
-                    0,
-                    "mode={mode}: the eager store never replays"
-                );
-                assert_eq!(
-                    arena.peak_live_states(),
-                    arena.total_stats().peak_live_states + arena.peak_in_flight,
+                    r.peak_live_states(),
+                    total.peak_live_states + r.peak_in_flight,
                     "mode={mode}: headline must fold the in-flight peak in"
-                );
-                // The eager baseline's stores hold every stored state live.
-                assert!(
-                    eager.peak_live_states() > arena.total_stats().peak_live_states,
-                    "mode={mode}: eager {} vs arena {}",
-                    eager.peak_live_states(),
-                    arena.total_stats().peak_live_states
                 );
             }
         }

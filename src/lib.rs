@@ -55,7 +55,7 @@ pub mod prelude {
     pub use optsched_core::{
         exhaustive_optimal, AEpsScheduler, AStarScheduler, ArenaConfig, ChenYuScheduler,
         ExhaustiveScheduler, HeuristicKind, PruningConfig, SchedulingProblem, SearchLimits,
-        SearchOutcome, SearchResult, SearchStats, StoreKind, WAStarScheduler,
+        SearchOutcome, SearchResult, SearchStats, WAStarScheduler,
     };
     pub use optsched_listsched::{
         best_heuristic_schedule, list_schedule, upper_bound, upper_bound_schedule, ListConfig,

@@ -10,52 +10,16 @@
 //! for the vendored RNG stream) so the exponential searches remain fast on
 //! the single-core CI host.
 //!
-//! The duplicate-detection modes exercised by the parallel runs can be
-//! pinned through the `OPTSCHED_DUP_MODE` environment variable (`local`,
-//! `sharded`, or unset for both), the state-store layouts through
-//! `OPTSCHED_STORE` (`eager`, `arena`, or unset for both), and the arena's
-//! refcounted reclamation through `OPTSCHED_ARENA_GC` (`on`, `off`, or
-//! unset for both), so CI can fail fast on a regression in any path; see
-//! `.github/workflows/ci.yml`.
+//! The parallel runs exercise both duplicate-detection modes in one process,
+//! and every assertion message names the mode it checks.
 
 use optsched::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The duplicate-detection modes this process should exercise.
-fn modes_under_test() -> Vec<DuplicateDetection> {
-    match std::env::var("OPTSCHED_DUP_MODE") {
-        Ok(v) => {
-            let mode: DuplicateDetection =
-                v.parse().unwrap_or_else(|e| panic!("OPTSCHED_DUP_MODE: {e}"));
-            vec![mode]
-        }
-        Err(_) => vec![DuplicateDetection::Local, DuplicateDetection::ShardedGlobal],
-    }
-}
-
-/// The state-store layouts this process should exercise.
-fn stores_under_test() -> Vec<StoreKind> {
-    match std::env::var("OPTSCHED_STORE") {
-        Ok(v) => {
-            let store: StoreKind = v.parse().unwrap_or_else(|e| panic!("OPTSCHED_STORE: {e}"));
-            vec![store]
-        }
-        Err(_) => vec![StoreKind::EagerClone, StoreKind::DeltaArena],
-    }
-}
-
-/// The arena-GC settings this process should exercise.
-fn gcs_under_test() -> Vec<bool> {
-    match std::env::var("OPTSCHED_ARENA_GC") {
-        Ok(v) => match v.as_str() {
-            "on" | "true" | "1" => vec![true],
-            "off" | "false" | "0" => vec![false],
-            other => panic!("OPTSCHED_ARENA_GC: unknown value `{other}` (expected on|off)"),
-        },
-        Err(_) => vec![true, false],
-    }
-}
+/// Both duplicate-detection modes of the parallel scheduler.
+const MODES: [DuplicateDetection; 2] =
+    [DuplicateDetection::Local, DuplicateDetection::ShardedGlobal];
 
 /// The deterministic conformance corpus: structured graphs plus random DAGs
 /// over the paper's CCR sweep, all ≤ 10 nodes.
@@ -87,9 +51,6 @@ fn corpus() -> Vec<(String, TaskGraph, ProcNetwork)> {
 /// use — instead of hand-matching scheduler types.
 #[test]
 fn all_schedulers_agree_on_the_optimal_makespan() {
-    let modes = modes_under_test();
-    let stores = stores_under_test();
-    let gcs = gcs_under_test();
     for (name, graph, net) in corpus() {
         let problem = SchedulingProblem::new(graph.clone(), net.clone());
 
@@ -99,76 +60,53 @@ fn all_schedulers_agree_on_the_optimal_makespan() {
         assert!(astar.is_optimal(), "{name}: A* must prove optimality");
         let optimum = astar.schedule_length;
 
-        for &gc in &gcs {
-            // Aε* degenerates to an exact search at ε = 0; `exhaustive`
-            // certifies the optimum by brute force on the smallest instances
-            // (it is itself exponential, so it is skipped above 7 nodes).
-            let spec = SchedulerSpec { epsilon: 0.0, arena_gc: gc, ..Default::default() };
-            let registry = SchedulerRegistry::with_spec(spec);
-            let mut families = vec!["astar", "aeps", "chenyu"];
-            if graph.num_nodes() <= 7 {
-                families.push("exhaustive");
-            }
-            for family in families {
-                let r = registry.get(family).expect("registered").run(&problem).result;
-                assert!(r.is_optimal(), "{name}: {family} gc={gc}");
-                assert_eq!(r.schedule_length, optimum, "{name}: {family} gc={gc}");
-                r.expect_schedule().validate(&graph, &net).unwrap();
-            }
+        // Aε* degenerates to an exact search at ε = 0; `exhaustive` certifies
+        // the optimum by brute force on the smallest instances (it is itself
+        // exponential, so it is skipped above 7 nodes).
+        let spec = SchedulerSpec { epsilon: 0.0, ..Default::default() };
+        let registry = SchedulerRegistry::with_spec(spec);
+        let mut families = vec!["astar", "aeps", "chenyu"];
+        if graph.num_nodes() <= 7 {
+            families.push("exhaustive");
+        }
+        for family in families {
+            let r = registry.get(family).expect("registered").run(&problem).result;
+            assert!(r.is_optimal(), "{name}: {family}");
+            assert_eq!(r.schedule_length, optimum, "{name}: {family}");
+            r.expect_schedule().validate(&graph, &net).unwrap();
+        }
 
-            // Parallel A*: every duplicate-detection mode × state-store
-            // layout, q ∈ {1, 2}.  The store and GC knobs are passed through
-            // the spec — the same path the CLI's `--store`/`--arena-gc` take.
-            for &mode in &modes {
-                for &store in &stores {
-                    for q in [1usize, 2] {
-                        let spec = SchedulerSpec {
-                            parallel: ParallelConfig::exact(q).with_duplicate_detection(mode),
-                            store,
-                            arena_gc: gc,
-                            ..Default::default()
-                        };
-                        let ctx =
-                            format!("{name}: parallel q={q} mode={mode} store={store} gc={gc}");
-                        let r = SchedulerRegistry::with_spec(spec)
-                            .get("parallel")
-                            .expect("registered")
-                            .run(&problem)
-                            .result;
-                        assert!(r.is_optimal(), "{ctx}");
-                        assert_eq!(r.schedule_length, optimum, "{ctx}");
-                        r.expect_schedule().validate(&graph, &net).unwrap();
-                        if store == StoreKind::DeltaArena {
-                            // Without transfers (q = 1) the delta arena keeps
-                            // at most the pinned root plus one scratch state;
-                            // at q > 1 deep transfers arrive as snapshot
-                            // roots, so only the replay signature (no eager
-                            // run ever replays a delta) still discriminates.
-                            if q == 1 {
-                                assert!(
-                                    r.stats.peak_live_states <= 2,
-                                    "{ctx}: arena held {} live full states",
-                                    r.stats.peak_live_states
-                                );
-                            }
-                            // A search that pops past the root must rebuild
-                            // those states by replay (bound-terminated runs
-                            // that only ever expand full roots replay
-                            // nothing, so gate on the expansion count).
-                            if r.stats.expanded > 2 {
-                                assert!(
-                                    r.stats.replayed_deltas > 0,
-                                    "{ctx}: the delta store expands by replay"
-                                );
-                            }
-                        }
-                        if !gc {
-                            assert_eq!(
-                                r.stats.reclaimed_records, 0,
-                                "{ctx}: GC off must be append-only"
-                            );
-                        }
-                    }
+        // Parallel A*: every duplicate-detection mode, q ∈ {1, 2}.
+        for mode in MODES {
+            for q in [1usize, 2] {
+                let spec = SchedulerSpec {
+                    parallel: ParallelConfig::exact(q).with_duplicate_detection(mode),
+                    ..Default::default()
+                };
+                let ctx = format!("{name}: parallel q={q} mode={mode}");
+                let r = SchedulerRegistry::with_spec(spec)
+                    .get("parallel")
+                    .expect("registered")
+                    .run(&problem)
+                    .result;
+                assert!(r.is_optimal(), "{ctx}");
+                assert_eq!(r.schedule_length, optimum, "{ctx}");
+                r.expect_schedule().validate(&graph, &net).unwrap();
+                // Without transfers (q = 1) the arena keeps at most the
+                // pinned root plus one scratch state; at q > 1 deep
+                // transfers arrive as snapshot roots.
+                if q == 1 {
+                    assert!(
+                        r.stats.peak_live_states <= 2,
+                        "{ctx}: arena held {} live full states",
+                        r.stats.peak_live_states
+                    );
+                }
+                // A search that pops past the root must rebuild those states
+                // by replay (bound-terminated runs that only ever expand full
+                // roots replay nothing, so gate on the expansion count).
+                if r.stats.expanded > 2 {
+                    assert!(r.stats.replayed_deltas > 0, "{ctx}: the arena expands by replay");
                 }
             }
         }
@@ -222,7 +160,6 @@ fn wastar_at_weight_one_agrees_with_astar_and_respects_its_bound_above() {
 /// both the serial and the parallel realisation (and both duplicate modes).
 #[test]
 fn epsilon_bound_holds_across_schedulers() {
-    let modes = modes_under_test();
     let mut rng = StdRng::seed_from_u64(42);
     let g = generate_random_dag(
         &RandomDagConfig { nodes: 7, ccr: 1.0, ..Default::default() },
@@ -235,7 +172,7 @@ fn epsilon_bound_holds_across_schedulers() {
         let bound = ((optimum as f64) * (1.0 + eps)).floor() as Cost;
         let serial = AEpsScheduler::new(&problem, eps).run();
         assert!(serial.schedule_length >= optimum && serial.schedule_length <= bound);
-        for &mode in &modes {
+        for mode in MODES {
             let cfg = ParallelConfig::approximate(2, eps).with_duplicate_detection(mode);
             let r = ParallelAStarScheduler::new(&problem, cfg).run();
             assert!(r.is_optimal(), "eps={eps} mode={mode}");
@@ -332,7 +269,6 @@ fn arena_transfers_lose_no_claims_under_4_thread_stress() {
             num_ppes: 4,
             min_comm_period: 1, // eager exchange: maximum transfer traffic
             num_shards: 4,
-            store: StoreKind::DeltaArena,
             ..Default::default()
         };
         let r = ParallelAStarScheduler::new(&problem, cfg).run();
@@ -357,7 +293,7 @@ fn arena_transfers_lose_no_claims_under_4_thread_stress() {
         // (deep), never as an eagerly cloned working set: descendants of
         // every arrival are delta records rebuilt by replay, and full
         // snapshots stay a strict subset of the live records.
-        assert!(total.replayed_deltas > 0, "run {run}: the delta store expands by replay");
+        assert!(total.replayed_deltas > 0, "run {run}: the arena expands by replay");
         assert!(
             total.peak_live_states <= total.peak_live_records,
             "run {run}: {} live full states exceed {} live records",
@@ -376,7 +312,6 @@ fn arena_transfers_lose_no_claims_under_4_thread_stress() {
     let cfg = ParallelConfig {
         num_ppes: 4,
         min_comm_period: 1,
-        store: StoreKind::DeltaArena,
         ..Default::default()
     }
     .with_duplicate_detection(DuplicateDetection::Local);
@@ -384,51 +319,4 @@ fn arena_transfers_lose_no_claims_under_4_thread_stress() {
     assert!(r.is_optimal());
     assert_eq!(r.schedule_length(), optimum);
     assert_eq!(r.election_transfers(), 0);
-}
-
-/// The chain-shipping acceptance criterion: under the same eagerly
-/// communicating 4-thread contention as the stress test above, shipping
-/// delta *chains* (one fixed-size record per scheduled node) must keep the
-/// in-flight record high-water mark strictly below the full-clone baseline,
-/// which parks `v` records per transfer no matter how shallow the shipped
-/// state is.  Both configurations are repeated and compared on their worst
-/// observed peak, so the strict inequality is robust to thread-scheduling
-/// noise on the single-core host; both must also stay optimal — cheaper
-/// shipping must never cost correctness.
-#[test]
-fn delta_chain_shipping_undercuts_full_clone_in_flight_records() {
-    let mut rng = StdRng::seed_from_u64(42);
-    let g = generate_random_dag(
-        &RandomDagConfig { nodes: 10, ccr: 1.0, ..Default::default() },
-        &mut rng,
-    );
-    let problem = SchedulingProblem::new(g, ProcNetwork::fully_connected(3));
-    let optimum = AStarScheduler::new(&problem).run().schedule_length;
-
-    let worst_peak = |store: StoreKind| {
-        (0..4)
-            .map(|run| {
-                let cfg = ParallelConfig {
-                    num_ppes: 4,
-                    min_comm_period: 1, // eager exchange: maximum transfer traffic
-                    store,
-                    ..Default::default()
-                };
-                let r = ParallelAStarScheduler::new(&problem, cfg).run();
-                assert!(r.is_optimal(), "store={store} run={run}");
-                assert_eq!(r.schedule_length(), optimum, "store={store} run={run}");
-                assert!(r.peak_in_flight > 0, "store={store} run={run}: transfers must flow");
-                r.peak_in_flight
-            })
-            .max()
-            .expect("four runs")
-    };
-
-    let chain_peak = worst_peak(StoreKind::DeltaArena);
-    let clone_peak = worst_peak(StoreKind::EagerClone);
-    assert!(
-        chain_peak < clone_peak,
-        "chain shipping parked {chain_peak} records in flight at worst, \
-         the full-clone baseline {clone_peak}"
-    );
 }

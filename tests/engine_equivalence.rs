@@ -7,10 +7,6 @@
 //! corpus.  Any drift in candidate enumeration order, pruning placement,
 //! duplicate-detection order or tie-breaking shows up as a loud mismatch
 //! here, with the instance and family named.
-//!
-//! The suite also asserts that the two state-store layouts (eager
-//! clone-per-generation vs. the delta arena) drive bit-identical searches —
-//! the arena is a memory/time optimisation, never a behaviour change.
 
 use optsched::prelude::*;
 use rand::rngs::StdRng;
@@ -101,54 +97,6 @@ fn serial_expansion_counts_match_the_pre_refactor_implementations() {
     }
 }
 
-/// The store layout is a pure memory/time trade: the eager
-/// clone-per-generation store and the delta arena must drive bit-identical
-/// searches for every family, with the arena holding (far) fewer live full
-/// states.
-#[test]
-fn eager_and_arena_stores_drive_identical_searches() {
-    for (name, graph, net) in corpus() {
-        let problem = SchedulingProblem::new(graph, net);
-        type Run = Box<dyn Fn(StoreKind) -> SearchResult>;
-        let runs: Vec<(&str, Run)> = vec![
-            ("astar", {
-                let p = problem.clone();
-                Box::new(move |s| AStarScheduler::new(&p).with_store(s).run())
-            }),
-            ("aeps", {
-                let p = problem.clone();
-                Box::new(move |s| AEpsScheduler::new(&p, 0.0).with_store(s).run())
-            }),
-            ("chenyu", {
-                let p = problem.clone();
-                Box::new(move |s| ChenYuScheduler::new(&p).with_store(s).run())
-            }),
-            ("exhaustive", {
-                let p = problem.clone();
-                Box::new(move |s| ExhaustiveScheduler::new(&p).with_store(s).run())
-            }),
-        ];
-        for (family, run) in runs {
-            if family == "exhaustive" && problem.num_nodes() > 7 {
-                continue; // brute force: keep the suite fast
-            }
-            let eager = run(StoreKind::EagerClone);
-            let arena = run(StoreKind::DeltaArena);
-            assert_eq!(eager.schedule_length, arena.schedule_length, "{name}/{family}");
-            assert_eq!(eager.outcome, arena.outcome, "{name}/{family}");
-            assert_eq!(
-                (eager.stats.expanded, eager.stats.generated, eager.stats.duplicates),
-                (arena.stats.expanded, arena.stats.generated, arena.stats.duplicates),
-                "{name}/{family}: stores must not change search behaviour"
-            );
-            assert!(
-                arena.stats.peak_live_states <= eager.stats.peak_live_states,
-                "{name}/{family}: the arena must not hold more live full states"
-            );
-        }
-    }
-}
-
 /// Pinned q = 1 parallel counts, one row per corpus instance:
 /// (name, optimum, expanded, generated).
 ///
@@ -157,8 +105,8 @@ fn eager_and_arena_stores_drive_identical_searches() {
 /// worker loop, pinned here with the same re-pin-in-the-same-commit
 /// discipline as the serial literals above.  Captured at the PR 4
 /// arena-backed-worker change; the counts are identical across both
-/// duplicate-detection modes and both store layouts (asserted below), so any
-/// divergence between those paths is loud too.
+/// duplicate-detection modes (asserted below), so any divergence between
+/// those paths is loud too.
 const PINNED_PARALLEL_Q1: &[(&str, Cost, u64, u64)] = &[
     ("paper-example", 14, 34, 61),
     ("fork-join", 16, 10, 21),
@@ -174,7 +122,7 @@ const PINNED_PARALLEL_Q1: &[(&str, Cost, u64, u64)] = &[
 ];
 
 #[test]
-fn single_ppe_parallel_counts_are_pinned_across_modes_and_stores() {
+fn single_ppe_parallel_counts_are_pinned_across_modes() {
     let cases = corpus();
     assert_eq!(cases.len(), PINNED_PARALLEL_Q1.len(), "corpus and pinned table out of sync");
     for ((name, graph, net), pinned) in cases.into_iter().zip(PINNED_PARALLEL_Q1) {
@@ -182,22 +130,19 @@ fn single_ppe_parallel_counts_are_pinned_across_modes_and_stores() {
         assert_eq!(name, pname, "corpus order changed — re-pin the table");
         let problem = SchedulingProblem::new(graph, net);
         for mode in [DuplicateDetection::ShardedGlobal, DuplicateDetection::Local] {
-            for store in [StoreKind::DeltaArena, StoreKind::EagerClone] {
-                let cfg =
-                    ParallelConfig::exact(1).with_duplicate_detection(mode).with_store(store);
-                let r = ParallelAStarScheduler::new(&problem, cfg).run();
-                let ctx = format!("{name}: q=1 mode={mode} store={store}");
-                assert!(r.is_optimal(), "{ctx}");
-                assert_eq!(r.schedule_length(), optimum, "{ctx}");
-                let total = r.total_stats();
-                assert_eq!(
-                    (total.expanded, total.generated),
-                    (expanded, generated),
-                    "{ctx}: deterministic-replay counts drifted — if the change is \
-                     intentional, re-pin PINNED_PARALLEL_Q1 in the same commit"
-                );
-                assert_eq!(total.election_transfers, 0, "{ctx}: q=1 has no neighbours");
-            }
+            let cfg = ParallelConfig::exact(1).with_duplicate_detection(mode);
+            let r = ParallelAStarScheduler::new(&problem, cfg).run();
+            let ctx = format!("{name}: q=1 mode={mode}");
+            assert!(r.is_optimal(), "{ctx}");
+            assert_eq!(r.schedule_length(), optimum, "{ctx}");
+            let total = r.total_stats();
+            assert_eq!(
+                (total.expanded, total.generated),
+                (expanded, generated),
+                "{ctx}: deterministic-replay counts drifted — if the change is \
+                 intentional, re-pin PINNED_PARALLEL_Q1 in the same commit"
+            );
+            assert_eq!(total.election_transfers, 0, "{ctx}: q=1 has no neighbours");
         }
     }
 }
