@@ -284,24 +284,66 @@ fn wastar_from_the_cli_matches_astar_at_weight_one() {
     assert_eq!(lengths[0], lengths[2], "the seeded search stays exact");
 }
 
-/// Every schedule run prints the arena-lifecycle counters
-/// (`peak_live_records`, `reclaimed_records`, the path-cache hit rate), the
-/// serial families from the uniform stats and `parallel` among its extras,
-/// which add the `peak_live_states` headline and the deltas the path-cache
-/// bases saved from replay.
+/// Reads the numeric value of a `name: value` line of `schedule` output.
+fn counter(stdout: &str, name: &str) -> u64 {
+    stdout
+        .lines()
+        .find_map(|l| l.strip_prefix(name))
+        .and_then(|v| v.trim_start_matches([' ', ':']).trim().parse::<u64>().ok())
+        .unwrap_or_else(|| panic!("no {name} counter in: {stdout}"))
+}
+
+/// `parallel` runs one state store, the delta arena: it returns the serial
+/// optimum, reports the `peak_live_states` headline, and its replay-savings
+/// counter shows the path-cache bases banking skipped deltas.  The `--store`
+/// flag that once picked a store fails cleanly as an unknown flag.
 #[test]
-fn arena_lifecycle_counters_from_the_cli() {
-    let generated = run(&["generate", "--nodes", "10", "--ccr", "1.0", "--seed", "7"]);
+fn parallel_store_modes_agree_and_report_peak_live_states() {
+    let generated = run(&["generate", "--nodes", "8", "--ccr", "1.0", "--seed", "7"]);
     assert!(generated.status.success());
     let graph_json = generated.stdout;
 
-    let counter = |stdout: &str, name: &str| -> u64 {
-        stdout
-            .lines()
-            .find_map(|l| l.strip_prefix(name))
-            .and_then(|v| v.trim_start_matches([' ', ':']).trim().parse::<u64>().ok())
-            .unwrap_or_else(|| panic!("no {name} counter in: {stdout}"))
-    };
+    let serial = run_with_stdin(
+        &["schedule", "--input", "-", "--algorithm", "astar", "--procs", "3"],
+        &graph_json,
+    );
+    assert!(serial.status.success(), "stderr: {}", String::from_utf8_lossy(&serial.stderr));
+    let serial_len = counter(&String::from_utf8_lossy(&serial.stdout), "schedule length");
+
+    let par = run_with_stdin(
+        &[
+            "schedule", "--input", "-", "--algorithm", "parallel", "--ppes", "2", "--procs",
+            "3",
+        ],
+        &graph_json,
+    );
+    assert!(par.status.success(), "stderr: {}", String::from_utf8_lossy(&par.stderr));
+    let stdout = String::from_utf8_lossy(&par.stdout).to_string();
+    assert_eq!(counter(&stdout, "schedule length"), serial_len, "stdout: {stdout}");
+    assert!(stdout.lines().any(|l| l.starts_with("peak_live_states")), "stdout: {stdout}");
+    assert!(
+        counter(&stdout, "replayed deltas saved") > 0,
+        "the path-cache bases must bank skipped deltas: {stdout}"
+    );
+
+    let bad = run_with_stdin(
+        &["schedule", "--input", "-", "--algorithm", "parallel", "--store", "eager"],
+        &graph_json,
+    );
+    assert!(!bad.status.success());
+    assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown flag `--store`"));
+}
+
+/// Every schedule run prints the arena-lifecycle counters
+/// (`peak_live_records`, `reclaimed_records`, the path-cache hit rate), the
+/// serial families from the uniform stats and `parallel` among its extras.
+/// Reclamation is always on, so both reclaim dead chains; the `--arena-gc`
+/// flag that once switched it off fails cleanly as an unknown flag.
+#[test]
+fn arena_gc_knob_and_lifecycle_counters_from_the_cli() {
+    let generated = run(&["generate", "--nodes", "10", "--ccr", "1.0", "--seed", "7"]);
+    assert!(generated.status.success());
+    let graph_json = generated.stdout;
 
     let serial = run_with_stdin(
         &["schedule", "--input", "-", "--algorithm", "astar", "--procs", "3"],
@@ -324,13 +366,12 @@ fn arena_lifecycle_counters_from_the_cli() {
     assert!(par.status.success(), "stderr: {}", String::from_utf8_lossy(&par.stderr));
     let stdout = String::from_utf8_lossy(&par.stdout).to_string();
     assert_eq!(counter(&stdout, "schedule length"), serial_len, "stdout: {stdout}");
-    assert!(stdout.lines().any(|l| l.starts_with("peak_live_states")), "stdout: {stdout}");
     assert!(counter(&stdout, "reclaimed_records") > 0, "stdout: {stdout}");
     assert!(stdout.contains("path-cache hit rate"), "stdout: {stdout}");
-    assert!(
-        counter(&stdout, "replayed deltas saved") > 0,
-        "the path-cache bases must bank skipped deltas: {stdout}"
-    );
+
+    let bad = run_with_stdin(&["schedule", "--input", "-", "--arena-gc", "off"], &graph_json);
+    assert!(!bad.status.success());
+    assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown flag `--arena-gc`"));
 }
 
 /// A run stopped by a limit says so on its `outcome` line, and the

@@ -689,6 +689,29 @@ mod tests {
         assert_eq!(arena.peak_live_full(), 2, "the root plus one scratch state");
     }
 
+    /// The arena counts stored states and live full states differently: a
+    /// chain of stored children grows `len` by one record each, while
+    /// materialising every one of them still holds only the root plus one
+    /// scratch state in full.
+    #[test]
+    fn peak_live_full_counts_stores_differently() {
+        let problem = example_problem();
+        let h = HeuristicKind::PaperStaticLevel;
+        let mut arena = arena(&problem);
+        let mut state = SearchState::initial(&problem);
+        let mut id = arena.insert_root(state.clone());
+        for step in 1..=4u16 {
+            let node = state.ready_nodes(&problem)[0];
+            let delta = state.peek_child(&problem, node, ProcId(u32::from(step) % 3), h);
+            id = arena.insert_child(id, &delta);
+            state = arena.materialise(id).clone();
+            assert_eq!(state.depth(), step);
+        }
+        assert_eq!(arena.len(), 5, "the root plus four delta records");
+        assert!(!arena.is_empty());
+        assert_eq!(arena.peak_live_full(), 2, "the root plus one scratch state");
+    }
+
     /// Releasing the last handle on a leaf reclaims the whole dead chain up
     /// to (but excluding) ancestors that still have live descendants, and the
     /// freed slots are reused by later insertions.

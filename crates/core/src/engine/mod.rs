@@ -412,6 +412,50 @@ mod tests {
         assert_eq!(r.schedule_length, 14);
     }
 
+    /// Reclamation and the path-cache are storage concerns only: the A* run
+    /// reproduces, counter for counter, the search of the append-only,
+    /// cache-free arena (whose figures are pinned below), while visibly
+    /// reclaiming records and shortening replays.
+    #[test]
+    fn gc_and_path_cache_knobs_never_change_the_search() {
+        // Expanded, generated, duplicates, peak live records and replayed
+        // deltas of the same run with reclamation and the path-cache off;
+        // an append-only arena keeps one record per generated state.
+        const APPEND_ONLY: (u64, u64, u64, u64, u64) = (34, 62, 11, 62, 99);
+        let problem = example_problem();
+        let r = run_search(
+            &problem,
+            AStarPolicy::new(true),
+            PruningConfig::all(),
+            HeuristicKind::PaperStaticLevel,
+            SearchLimits::unlimited(),
+            false,
+            None,
+        );
+        let (expanded, generated, duplicates, peak_live_records, replayed_deltas) = APPEND_ONLY;
+        assert_eq!(r.schedule_length, 14);
+        assert_eq!(
+            (r.stats.expanded, r.stats.generated, r.stats.duplicates),
+            (expanded, generated, duplicates),
+            "storage lifecycle leaked into search behaviour"
+        );
+        assert!(r.stats.reclaimed_records > 0, "the run reclaims dead chains");
+        assert!(
+            r.stats.peak_live_records <= peak_live_records,
+            "reclamation must not grow the live set: {} vs {peak_live_records}",
+            r.stats.peak_live_records
+        );
+        assert!(
+            r.stats.peak_live_records < r.stats.generated,
+            "live records stay below the total ever generated"
+        );
+        assert!(
+            r.stats.replayed_deltas <= replayed_deltas,
+            "the path-cache must not lengthen replays: {} vs {replayed_deltas}",
+            r.stats.replayed_deltas
+        );
+    }
+
     /// The seeded mode prunes against the attained list incumbent (strictly)
     /// yet stays exact, and reports `Optimal` even when the proof comes from
     /// frontier exhaustion rather than a popped goal.

@@ -401,6 +401,30 @@ mod tests {
         assert!(desc.contains("sharded"), "{desc}");
     }
 
+    /// Arena reclamation reaches both the serial engines and the PPE workers
+    /// through the registry: each family reclaims dead chains and keeps its
+    /// record high-water mark below the generated count, where an append-only
+    /// store keeps at least one record per generated state, without moving
+    /// the optimum.
+    #[test]
+    fn arena_gc_knob_flows_through() {
+        let problem = example_problem();
+        let reg = SchedulerRegistry::builtin();
+        for name in ["astar", "parallel"] {
+            let report = reg.get(name).unwrap().run(&problem);
+            let stats = &report.result.stats;
+            assert_eq!(report.result.schedule_length, 14, "{name}");
+            assert!(stats.reclaimed_records > 0, "{name}: the arena must reclaim");
+            assert!(
+                stats.peak_live_records < stats.generated,
+                "{name}: reclamation keeps the record high-water mark ({}) below the \
+                 states generated ({})",
+                stats.peak_live_records,
+                stats.generated
+            );
+        }
+    }
+
     #[test]
     fn path_cache_hit_rate_formats() {
         let none = SearchStats::default();
