@@ -19,7 +19,7 @@
 //!
 //! Usage: `cargo run --release -p optsched-bench --bin ablation_serial -- [--sizes 10,12] [--budget-ms N]`
 
-use optsched::registry::{SchedulerRegistry, SchedulerSpec};
+use optsched::registry::SchedulerSpec;
 use optsched_bench::{workload_problem, write_json_rows, CsvWriter, ExperimentOptions};
 use optsched_core::{SearchLimits, SearchOutcome};
 
@@ -66,8 +66,7 @@ fn main() {
         let mut optimum: Option<u64> = None;
         for (family, seeded) in runs {
             let spec = SchedulerSpec { limits, seed_incumbent: seeded, ..Default::default() };
-            let registry = SchedulerRegistry::with_spec(spec);
-            let r = registry.get(family).expect("registered family").run(&problem).result;
+            let r = spec.run(family, &problem).expect(family).result;
             let mut ms = r.elapsed.as_secs_f64() * 1e3;
             let timed_out = r.outcome == SearchOutcome::LimitReached;
             // Fast completed runs are re-measured best-of-N (the faster the
@@ -84,7 +83,7 @@ fn main() {
                 0
             };
             for _ in 0..reps {
-                let rep = registry.get(family).expect("registered family").run(&problem).result;
+                let rep = spec.run(family, &problem).expect(family).result;
                 ms = ms.min(rep.elapsed.as_secs_f64() * 1e3);
             }
             println!(

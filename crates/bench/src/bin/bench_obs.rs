@@ -24,7 +24,7 @@
 
 use std::time::Instant;
 
-use optsched::registry::{SchedulerRegistry, SchedulerSpec};
+use optsched::registry::SchedulerSpec;
 use optsched_bench::{workload_problem, write_json_rows, ExperimentOptions};
 use optsched_core::SchedulingProblem;
 
@@ -33,13 +33,11 @@ use optsched_core::SchedulingProblem;
 /// never change the search).
 fn best_of(problem: &SchedulingProblem, reps: usize) -> (f64, u64) {
     let spec = SchedulerSpec { seed_incumbent: true, ..Default::default() };
-    let registry = SchedulerRegistry::with_spec(spec);
-    let scheduler = registry.get("astar").expect("astar is registered");
     let mut best_ms = f64::INFINITY;
     let mut length = 0;
     for _ in 0..reps {
         let start = Instant::now();
-        let r = scheduler.run(problem).result;
+        let r = spec.run("astar", problem).expect("astar").result;
         best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
         length = r.schedule_length;
     }

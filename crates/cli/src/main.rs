@@ -20,12 +20,14 @@
 //! optsched requests --count 20 [--seed 7] [--output reqs.jsonl]
 //! ```
 //!
-//! The `--algorithm` value is resolved through the facade's
-//! [`SchedulerRegistry`]; the CLI has no per-algorithm code paths.  The
+//! The `--algorithm` value is dispatched through the facade's
+//! [`SchedulerSpec::run`]; the CLI has no per-algorithm code paths.  The
 //! text report has an `outcome` line (completed, or which limit stopped the
 //! search) and the state store's `peak_live_records`, `reclaimed_records`
-//! and path-cache hit-rate counters.  Each subcommand rejects a flag that is
-//! not on its usage line.
+//! and path-cache hit-rate counters.  Each subcommand rejects, as a usage
+//! error and before it reads any input, a flag that is not on its usage
+//! line, a value that does not parse, an unknown topology and an unknown
+//! algorithm.
 //!
 //! Graph files are the `serde_json` serialisation of
 //! [`optsched_taskgraph::TaskGraph`] (produced by `optsched generate`).
@@ -55,11 +57,13 @@
 //! also answers the admin line `{"type": "stats"}` on any connection with
 //! a JSON stats report (counters plus queue-wait/end-to-end p50/p99).
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use optsched::registry::{path_cache_hit_rate, SchedulerRegistry, SchedulerSpec};
+use optsched::registry::{path_cache_hit_rate, SchedulerSpec, NAMES};
 use optsched_core::{AStarScheduler, SchedulingProblem, SearchLimits, SearchOutcome};
 use optsched_procnet::{ProcNetwork, Topology};
 use optsched_schedule::{render_gantt, Schedule};
@@ -101,8 +105,24 @@ impl Args {
         self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 
-    fn get_parse<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// The value of `--key` parsed as `T`, or `None` when the flag is
+    /// absent.  A value that does not parse is an error naming the flag and
+    /// the value, never a silent default.
+    fn get_parse_opt<T: FromStr>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.get(key)
+            .map(|v| v.parse().map_err(|e| format!("invalid value `{v}` for `--{key}`: {e}")))
+            .transpose()
+    }
+
+    /// [`Args::get_parse_opt`] with `default` for an absent flag.
+    fn get_parse<T: FromStr>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        Ok(self.get_parse_opt(key)?.unwrap_or(default))
     }
 
     fn has(&self, key: &str) -> bool {
@@ -197,9 +217,10 @@ fn load_graph(args: &Args) -> Result<TaskGraph, String> {
     }
 }
 
-fn build_network(args: &Args, default_procs: usize) -> ProcNetwork {
-    let p = args.get_parse("procs", default_procs);
-    match args.get("topology").unwrap_or("full") {
+fn build_network(args: &Args, default_procs: usize) -> Result<ProcNetwork, String> {
+    let p = args.get_parse("procs", default_procs)?;
+    Ok(match args.get("topology").unwrap_or("full") {
+        "full" => ProcNetwork::fully_connected(p),
         "ring" => ProcNetwork::ring(p),
         "chain" => ProcNetwork::chain(p),
         "star" => ProcNetwork::star(p),
@@ -209,8 +230,13 @@ fn build_network(args: &Args, default_procs: usize) -> ProcNetwork {
             let rows = (1..=rows).rev().find(|r| p % r == 0).unwrap_or(1);
             ProcNetwork::with_topology(Topology::Mesh { rows, cols: p / rows }, p)
         }
-        _ => ProcNetwork::fully_connected(p),
-    }
+        other => {
+            return Err(format!(
+                "invalid value `{other}` for `--topology`: unknown topology \
+                 (expected ring|mesh|full|chain|star|hypercube)"
+            ))
+        }
+    })
 }
 
 /// The `outcome` report line: why the search stopped, and so what the
@@ -250,29 +276,42 @@ fn report(
 }
 
 /// Builds the scheduler configuration from the command line.  Every family
-/// reads the knobs that apply to it; unknown values fail with a message.
+/// reads the knobs that apply to it; unparsable values fail with a message.
 fn build_spec(args: &Args) -> Result<SchedulerSpec, String> {
+    let epsilon = args.get_parse_opt("epsilon")?;
     let mut spec = SchedulerSpec {
         limits: SearchLimits {
-            max_millis: args.get("budget-ms").and_then(|v| v.parse().ok()),
-            max_expansions: args.get("max-expansions").and_then(|v| v.parse().ok()),
+            max_millis: args.get_parse_opt("budget-ms")?,
+            max_expansions: args.get_parse_opt("max-expansions")?,
             ..Default::default()
         },
-        epsilon: args.get_parse("epsilon", 0.2),
-        weight: args.get_parse("weight", 1.5),
+        epsilon: epsilon.unwrap_or(0.2),
+        weight: args.get_parse("weight", 1.5)?,
         seed_incumbent: args.has("seed-incumbent"),
         ..Default::default()
     };
-    spec.parallel.num_ppes = args.get_parse("ppes", spec.parallel.num_ppes);
-    spec.parallel.epsilon = args.get("epsilon").and_then(|v| v.parse().ok());
-    if let Some(v) = args.get("dup-detection") {
-        spec.parallel.duplicate_detection = v.parse()?;
-    }
-    spec.parallel.num_shards = args.get_parse("shards", spec.parallel.num_shards);
+    spec.parallel.num_ppes = args.get_parse("ppes", spec.parallel.num_ppes)?;
+    spec.parallel.epsilon = epsilon;
+    spec.parallel.duplicate_detection =
+        args.get_parse("dup-detection", spec.parallel.duplicate_detection)?;
+    spec.parallel.num_shards = args.get_parse("shards", spec.parallel.num_shards)?;
     Ok(spec)
 }
 
-fn cmd_schedule(args: &Args, graph: TaskGraph) -> ExitCode {
+fn cmd_schedule(args: &Args) -> Result<ExitCode, String> {
+    let net = build_network(args, 4)?;
+    let spec = build_spec(args)?;
+    let algorithm = args.get("algorithm").unwrap_or("astar");
+    let Some(label) = spec.describe(algorithm) else {
+        return Err(format!("unknown algorithm `{algorithm}` (expected {})", NAMES.join("|")));
+    };
+    let graph = match load_graph(args) {
+        Ok(g) => g,
+        Err(e) => {
+            eprintln!("{e}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
     // `--trace-out PATH` turns the event/span layer on for this run and
     // writes a Chrome trace-event file (load it in `chrome://tracing` or
     // Perfetto) after the report.
@@ -280,31 +319,13 @@ fn cmd_schedule(args: &Args, graph: TaskGraph) -> ExitCode {
     if trace_out.is_some() {
         optsched_obs::set_enabled(true);
     }
-    let net = build_network(args, 4);
     let problem = SchedulingProblem::new(graph.clone(), net.clone());
-    let spec = match build_spec(args) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let registry = SchedulerRegistry::with_spec(spec);
-    let algorithm = args.get("algorithm").unwrap_or("astar");
-    let Some(scheduler) = registry.get(algorithm) else {
-        eprintln!(
-            "unknown algorithm `{algorithm}` (expected {})",
-            registry.names().join("|")
-        );
-        return ExitCode::FAILURE;
-    };
-
-    let run = scheduler.run(&problem);
+    let run = spec.run(algorithm, &problem).expect("every described name runs");
     let Some(schedule) = run.result.schedule.as_ref() else {
         eprintln!("internal error: `{algorithm}` produced no schedule");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
-    report(schedule, &graph, &net, args, &scheduler.description(), &run.result.outcome);
+    report(schedule, &graph, &net, args, &label, &run.result.outcome);
     if run.result.outcome == SearchOutcome::LimitReached {
         eprintln!("note: the search hit its budget; the schedule is the best incumbent, not proven optimal");
     }
@@ -312,7 +333,7 @@ fn cmd_schedule(args: &Args, graph: TaskGraph) -> ExitCode {
         for (label, value) in &run.extras {
             println!("{label:<15}: {value}");
         }
-        // The parallel entry reports the arena-lifecycle counters among its
+        // The parallel family reports the arena-lifecycle counters among its
         // extras; print them from the uniform stats for every other family.
         if !run.extras.iter().any(|(k, _)| k == "peak_live_records") {
             let s = &run.result.stats;
@@ -329,17 +350,17 @@ fn cmd_schedule(args: &Args, graph: TaskGraph) -> ExitCode {
             Ok(n) => eprintln!("trace: wrote {n} events to {path}"),
             Err(e) => {
                 eprintln!("trace: failed to write {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_generate(args: &Args) -> ExitCode {
-    let nodes = args.get_parse("nodes", 20usize);
-    let ccr = args.get_parse("ccr", 1.0f64);
-    let seed = args.get_parse("seed", 7u64);
+fn cmd_generate(args: &Args) -> Result<ExitCode, String> {
+    let nodes = args.get_parse("nodes", 20usize)?;
+    let ccr = args.get_parse("ccr", 1.0f64)?;
+    let seed = args.get_parse("seed", 7u64)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let graph = generate_random_dag(&RandomDagConfig { nodes, ccr, ..Default::default() }, &mut rng);
     let json = serde_json::to_string_pretty(&graph).expect("graphs serialise");
@@ -347,17 +368,24 @@ fn cmd_generate(args: &Args) -> ExitCode {
         Some(path) => {
             if let Err(e) = std::fs::write(path, json) {
                 eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             println!("wrote {nodes}-node graph (CCR {ccr}, seed {seed}) to {path}");
         }
         None => println!("{json}"),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_levels(graph: &TaskGraph) -> ExitCode {
-    let levels = GraphLevels::compute(graph);
+fn cmd_levels(args: &Args) -> ExitCode {
+    let graph = match load_graph(args) {
+        Ok(g) => g,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let levels = GraphLevels::compute(&graph);
     println!("{:<8} {:>8} {:>10} {:>10} {:>10}", "node", "weight", "sl", "b-level", "t-level");
     for n in graph.node_ids() {
         println!(
@@ -375,23 +403,23 @@ fn cmd_levels(graph: &TaskGraph) -> ExitCode {
 
 /// Builds the service configuration shared by `serve` and `batch` from the
 /// command line.
-fn service_config_from_args(args: &Args) -> ServiceConfig {
+fn service_config_from_args(args: &Args) -> Result<ServiceConfig, String> {
     let d = ServiceConfig::default();
-    let admission_budget = args.get_parse("admission-budget", d.admission_budget);
-    ServiceConfig {
-        workers: args.get_parse("workers", d.workers),
-        cache_capacity: args.get_parse("cache-capacity", d.cache_capacity),
-        cache_max_age_ms: args.get("cache-max-age-ms").and_then(|v| v.parse().ok()),
+    let admission_budget = args.get_parse("admission-budget", d.admission_budget)?;
+    Ok(ServiceConfig {
+        workers: args.get_parse("workers", d.workers)?,
+        cache_capacity: args.get_parse("cache-capacity", d.cache_capacity)?,
+        cache_max_age_ms: args.get_parse_opt("cache-max-age-ms")?,
         admission_budget,
         // The threshold must stay within the budget to mean anything.
         degrade_threshold: args
-            .get_parse("degrade-threshold", d.degrade_threshold)
+            .get_parse("degrade-threshold", d.degrade_threshold)?
             .min(admission_budget),
-        degrade_deadline_ms: args.get_parse("degrade-deadline-ms", d.degrade_deadline_ms),
+        degrade_deadline_ms: args.get_parse("degrade-deadline-ms", d.degrade_deadline_ms)?,
         seed_incumbent: !args.has("no-seed-incumbent"),
         trace_path: args.get("trace-out").map(String::from),
         ..d
-    }
+    })
 }
 
 /// One metrics line for the periodic and final `serve` summaries.
@@ -423,10 +451,9 @@ fn metrics_line(service: &SchedulingService) -> String {
     )
 }
 
-/// Prints a metrics snapshot to stderr every `--summary-interval-ms` until
-/// the returned guard is dropped (no-op at the default of 0).
-fn spawn_summary_monitor(args: &Args, service: &SchedulingService) -> Option<SummaryMonitor> {
-    let interval_ms = args.get_parse("summary-interval-ms", 0u64);
+/// Prints a metrics snapshot to stderr every `interval_ms` until the
+/// returned guard is dropped (no-op at 0).
+fn spawn_summary_monitor(interval_ms: u64, service: &SchedulingService) -> Option<SummaryMonitor> {
     if interval_ms == 0 {
         return None;
     }
@@ -465,18 +492,19 @@ impl Drop for SummaryMonitor {
 /// `optsched serve`: the JSON-lines scheduling service over stdin/stdout,
 /// or over TCP with `--listen ADDR:PORT` — either way one global worker
 /// pool answers every connection.
-fn cmd_serve(args: &Args) -> ExitCode {
-    let config = service_config_from_args(args);
+fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
+    let config = service_config_from_args(args)?;
+    let interval_ms = args.get_parse("summary-interval-ms", 0u64)?;
     let (workers, admission_budget) = (config.workers, config.admission_budget);
     let service = SchedulingService::new(config);
-    let _monitor = spawn_summary_monitor(args, &service);
-    match args.get("listen") {
+    let _monitor = spawn_summary_monitor(interval_ms, &service);
+    Ok(match args.get("listen") {
         Some(addr) => {
             let listener = match std::net::TcpListener::bind(addr) {
                 Ok(l) => l,
                 Err(e) => {
                     eprintln!("cannot listen on {addr}: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             eprintln!(
@@ -484,7 +512,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
             );
             if let Err(e) = serve_tcp(&service, &listener, None) {
                 eprintln!("serve error: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             ExitCode::SUCCESS
         }
@@ -512,22 +540,24 @@ fn cmd_serve(args: &Args) -> ExitCode {
                 }
             }
         }
-    }
+    })
 }
 
 /// `optsched batch`: drain a request file through the worker pool, print the
 /// responses to stdout, and fail loudly if any response errored or the
 /// cache saw fewer hits than `--min-cache-hits` (the CI smoke contract).
-fn cmd_batch(args: &Args) -> ExitCode {
+fn cmd_batch(args: &Args) -> Result<ExitCode, String> {
+    let config = service_config_from_args(args)?;
+    let min_hits = args.get_parse("min-cache-hits", 0u64)?;
     let Some(path) = args.get("requests") else {
         eprintln!("missing --requests <file.jsonl|->");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     let text = if path == "-" {
         let mut buf = String::new();
         if let Err(e) = std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf) {
             eprintln!("cannot read stdin: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         buf
     } else {
@@ -535,19 +565,18 @@ fn cmd_batch(args: &Args) -> ExitCode {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     };
 
-    let config = service_config_from_args(args);
     let service = SchedulingService::new(config);
     let mut stdout = std::io::stdout();
     let summary = match run_service(&service, text.as_bytes(), &mut stdout) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("batch error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
@@ -568,27 +597,26 @@ fn cmd_batch(args: &Args) -> ExitCode {
     }
     if summary.errors > 0 {
         eprintln!("batch: {} response(s) reported errors", summary.errors);
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    let min_hits = args.get_parse("min-cache-hits", 0u64);
     if summary.cache_hits < min_hits {
         eprintln!(
             "batch: expected >= {min_hits} cache hit(s), observed {}",
             summary.cache_hits
         );
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `optsched requests`: generate a mixed request corpus (sizes, CCRs,
 /// algorithms, deadlines, repeated instances) as JSON lines.
-fn cmd_requests(args: &Args) -> ExitCode {
+fn cmd_requests(args: &Args) -> Result<ExitCode, String> {
     let cfg = RequestCorpusConfig {
-        count: args.get_parse("count", RequestCorpusConfig::default().count),
+        count: args.get_parse("count", RequestCorpusConfig::default().count)?,
         ..Default::default()
     };
-    let seed = args.get_parse("seed", 7u64);
+    let seed = args.get_parse("seed", 7u64)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let corpus = generate_request_corpus(&cfg, &mut rng);
     let mut lines = String::new();
@@ -602,13 +630,13 @@ fn cmd_requests(args: &Args) -> ExitCode {
         Some(path) => {
             if let Err(e) = std::fs::write(path, lines) {
                 eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             println!("wrote {} requests (seed {seed}) to {path}", corpus.len());
         }
         None => print!("{lines}"),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
@@ -622,25 +650,17 @@ fn main() -> ExitCode {
         eprintln!("unknown flag `--{flag}` for `optsched {cmd}`");
         return usage();
     }
-    match cmd.as_str() {
-        "schedule" => match load_graph(&args) {
-            Ok(g) => cmd_schedule(&args, g),
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        },
+    // A command reads all of its flag values before it reads any input or
+    // starts any work, and returns a bad one as `Err`: a usage error naming
+    // the flag and the value.  Later failures print their own message and
+    // return `Ok(ExitCode::FAILURE)`.
+    let run = match cmd.as_str() {
+        "schedule" => cmd_schedule(&args),
         "generate" => cmd_generate(&args),
         "serve" => cmd_serve(&args),
         "batch" => cmd_batch(&args),
         "requests" => cmd_requests(&args),
-        "levels" => match load_graph(&args) {
-            Ok(g) => cmd_levels(&g),
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        },
+        "levels" => Ok(cmd_levels(&args)),
         "example" => {
             let graph = paper_example_dag();
             let net = ProcNetwork::ring(3);
@@ -648,10 +668,14 @@ fn main() -> ExitCode {
             let r = AStarScheduler::new(&problem).run();
             println!("paper example (Figure 1): optimal schedule length = {}", r.schedule_length);
             println!("{}", render_gantt(r.expect_schedule(), &graph));
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        _ => usage(),
-    }
+        _ => return usage(),
+    };
+    run.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    })
 }
 
 #[cfg(test)]
@@ -664,8 +688,11 @@ mod tests {
             ["--nodes", "12", "--gantt", "--ccr", "0.5"].iter().map(|s| s.to_string()).collect();
         let a = Args::parse(&argv);
         assert_eq!(a.get("nodes"), Some("12"));
-        assert_eq!(a.get_parse("ccr", 1.0), 0.5);
-        assert_eq!(a.get_parse("missing", 3usize), 3);
+        assert_eq!(a.get_parse("ccr", 1.0), Ok(0.5));
+        assert_eq!(a.get_parse("missing", 3usize), Ok(3));
+        assert_eq!(a.get_parse_opt::<u64>("missing"), Ok(None));
+        let err = a.get_parse_opt::<usize>("ccr").unwrap_err();
+        assert!(err.contains("invalid value `0.5` for `--ccr`"), "{err}");
         assert!(a.has("gantt"));
         assert!(!a.has("json"));
         assert_eq!(a.unknown_flag(&["nodes", "gantt", "ccr"]), None);
@@ -686,12 +713,16 @@ mod tests {
     #[test]
     fn build_network_topologies() {
         let argv: Vec<String> = ["--procs", "6", "--topology", "mesh"].iter().map(|s| s.to_string()).collect();
-        let net = build_network(&Args::parse(&argv), 4);
+        let net = build_network(&Args::parse(&argv), 4).unwrap();
         assert_eq!(net.num_procs(), 6);
         let ring: Vec<String> = ["--procs", "5", "--topology", "ring"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(build_network(&Args::parse(&ring), 4).degree(optsched_procnet::ProcId(0)), 2);
+        let ring = build_network(&Args::parse(&ring), 4).unwrap();
+        assert_eq!(ring.degree(optsched_procnet::ProcId(0)), 2);
         let hyper: Vec<String> = ["--procs", "5", "--topology", "hypercube"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(build_network(&Args::parse(&hyper), 4).num_procs(), 8);
+        assert_eq!(build_network(&Args::parse(&hyper), 4).unwrap().num_procs(), 8);
+        let typo: Vec<String> = ["--topology", "rnig"].iter().map(|s| s.to_string()).collect();
+        let err = build_network(&Args::parse(&typo), 4).unwrap_err();
+        assert!(err.contains("invalid value `rnig` for `--topology`"), "{err}");
     }
 
     #[test]

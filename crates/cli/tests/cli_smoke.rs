@@ -22,7 +22,12 @@ fn run_with_stdin(args: &[&str], stdin: &[u8]) -> Output {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn optsched");
-    child.stdin.as_mut().expect("piped stdin").write_all(stdin).expect("write stdin");
+    // A usage error exits before reading stdin; if the child is already gone
+    // the write fails with a broken pipe, which only means the input went
+    // unread.  The caller's assertions on the output still decide the test.
+    if let Err(e) = child.stdin.as_mut().expect("piped stdin").write_all(stdin) {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write stdin: {e}");
+    }
     child.wait_with_output().expect("wait for optsched")
 }
 
@@ -435,6 +440,41 @@ fn removed_and_misspelt_flags_are_usage_errors() {
     let out = run(&["generate", "--nodes", "6", "--gantt"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--gantt`"));
+}
+
+/// A flag value that does not parse, or an unknown topology, is a usage
+/// error naming the flag and the value — in every subcommand, and before any
+/// input is read — instead of silently running with the default.
+#[test]
+fn malformed_flag_values_are_usage_errors() {
+    let generated = run(&["generate", "--nodes", "10", "--ccr", "1.0", "--seed", "7"]);
+    assert!(generated.status.success());
+    let schedule = |flag: &'static str, value: &'static str| {
+        vec!["schedule", "--input", "-", "--algorithm", "parallel", flag, value]
+    };
+    let cases: Vec<(Vec<&str>, &str, &str)> = vec![
+        (schedule("--max-expansions", "1x"), "--max-expansions", "1x"),
+        (schedule("--budget-ms", "5s"), "--budget-ms", "5s"),
+        (schedule("--epsilon", "abc"), "--epsilon", "abc"),
+        (schedule("--ppes", "x"), "--ppes", "x"),
+        (schedule("--topology", "rnig"), "--topology", "rnig"),
+        (schedule("--procs", "four"), "--procs", "four"),
+        (vec!["generate", "--nodes", "ten"], "--nodes", "ten"),
+        (vec!["batch", "--requests", "-", "--workers", "two"], "--workers", "two"),
+        (vec!["serve", "--summary-interval-ms", "soon"], "--summary-interval-ms", "soon"),
+        (vec!["requests", "--count", "many"], "--count", "many"),
+    ];
+    for (argv, flag, value) in &cases {
+        let out = run_with_stdin(argv, &generated.stdout);
+        assert!(!out.status.success(), "{argv:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("invalid value `{value}` for `{flag}`")),
+            "{argv:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{argv:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{argv:?} must not run");
+    }
 }
 
 /// Feeds stdin in two chunks with a pause between, keeping the service alive

@@ -1,4 +1,4 @@
-//! The Chen & Yu branch-and-bound baseline (reference [3] of the paper).
+//! The Chen & Yu branch-and-bound baseline (reference \[3\] of the paper).
 //!
 //! Chen and Yu's algorithm is a branch-and-bound-with-underestimates search
 //! for the same problem.  Its distinguishing feature — and the reason the
@@ -213,12 +213,6 @@ impl<'a> ChenYuScheduler<'a> {
         let b = self.path_bound(state, from, &mut stats);
         (b, stats.path_segments_enumerated)
     }
-
-    /// Convenience used by benches: the processor the initial node would be
-    /// placed on first (kept here so benches need not re-derive it).
-    pub fn first_processor(&self) -> ProcId {
-        ProcId(0)
-    }
 }
 
 /// Exhaustively matches one complete execution path against the processor
@@ -372,6 +366,5 @@ mod tests {
         let r = ChenYuScheduler::new(&prob).with_limits(SearchLimits::expansions(2)).run();
         assert_eq!(r.outcome, SearchOutcome::LimitReached);
         r.expect_schedule().validate(prob.graph(), prob.network()).unwrap();
-        assert_eq!(ChenYuScheduler::new(&prob).first_processor(), ProcId(0));
     }
 }

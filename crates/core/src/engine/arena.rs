@@ -22,7 +22,7 @@
 //!   root (slot 0) is pinned and never freed.
 //! * **Materialisation path-cache.**  Replaying from the root makes a single
 //!   materialisation O(depth).  The arena keeps the last
-//!   [`PATH_CACHE_ENTRIES`] materialised states whose replay was long enough
+//!   eight (`PATH_CACHE_ENTRIES`) materialised states whose replay was long enough
 //!   to be worth caching; a later materialisation walks its parent chain only
 //!   until it meets the scratch state, a cached ancestor or a full snapshot,
 //!   whichever is nearest.
@@ -32,6 +32,7 @@
 
 use crate::problem::SchedulingProblem;
 use crate::state::{ChildDelta, SearchState};
+use crate::stats::SearchStats;
 
 /// Identifier of a state held by a [`StateArena`].
 ///
@@ -156,7 +157,7 @@ impl<'p> StateArena<'p> {
 
     /// Largest number of fully materialised states held at any point: roots
     /// and adopted snapshots plus the scratch state.  (The path-cache's up to
-    /// [`PATH_CACHE_ENTRIES`] extra full states are a fixed overhead, not
+    /// eight (`PATH_CACHE_ENTRIES`) extra full states are a fixed overhead, not
     /// counted here.)
     pub fn peak_live_full(&self) -> usize {
         self.peak_live_full
@@ -207,6 +208,20 @@ impl<'p> StateArena<'p> {
     /// the depth of the reused base, summed over those materialisations.
     pub fn replayed_deltas_saved(&self) -> u64 {
         self.replayed_deltas_saved
+    }
+
+    /// Copies the store's lifecycle counters (peak full states and records,
+    /// reclaims, materialisations, path-cache hits and replay work) into
+    /// `stats`, as a finished search reports them.
+    pub fn record_stats(&self, stats: &mut SearchStats) {
+        stats.peak_live_states = self.peak_live_full as u64;
+        stats.peak_live_records = self.peak_live_records as u64;
+        stats.reclaimed_records = self.reclaimed_records;
+        stats.materialisations = self.materialisations;
+        stats.path_cache_hits = self.path_cache_hits;
+        stats.path_cache_ancestor_hits = self.path_cache_ancestor_hits;
+        stats.replayed_deltas = self.replayed_deltas;
+        stats.replayed_deltas_saved = self.replayed_deltas_saved;
     }
 
     /// Slot capacity currently allocated by the record vector (compaction
@@ -328,7 +343,7 @@ impl<'p> StateArena<'p> {
     /// every outstanding handle (and the scratch/path-cache ids, which are
     /// invalidated eagerly on release) survives compaction unchanged.
     ///
-    /// Runs automatically every [`COMPACT_RECLAIM_INTERVAL`] reclaims when
+    /// Runs automatically every 8192 (`COMPACT_RECLAIM_INTERVAL`) reclaims when
     /// the trailing free run is at least a quarter of the vector; callers
     /// with a natural generation boundary (e.g. a service worker between
     /// requests) can invoke it directly.

@@ -13,7 +13,7 @@
 //!   ([`policy`]): `AStarScheduler`, `AEpsScheduler`, `ChenYuScheduler` and
 //!   `ExhaustiveScheduler` are thin configurations over it.
 //! * [`StateArena`] ([`arena`]) stores generated states as parent-id +
-//!   [`ChildDelta`](crate::state::ChildDelta) records and materialises a full
+//!   [`ChildDelta`] records and materialises a full
 //!   [`SearchState`] only when a state is selected for expansion, replacing
 //!   the clone-per-generation layout.  The arena is not tied to
 //!   [`run_search`]: the parallel scheduler's PPE workers each own one,
@@ -79,6 +79,12 @@ impl SignatureSet {
     /// True if no signature has been admitted yet.
     pub fn is_empty(&self) -> bool {
         self.seen.is_empty()
+    }
+
+    /// Forgets `sig`, so a later [`DuplicateFilter::admit`] of it counts as
+    /// new; returns whether it was present.
+    pub fn remove(&mut self, sig: &StateSignature) -> bool {
+        self.seen.remove(sig)
     }
 }
 
@@ -356,14 +362,7 @@ pub fn run_search<P: FrontierPolicy>(
         outcome
     };
 
-    stats.peak_live_states = arena.peak_live_full() as u64;
-    stats.peak_live_records = arena.peak_live_records() as u64;
-    stats.reclaimed_records = arena.reclaimed_records();
-    stats.materialisations = arena.materialisations();
-    stats.path_cache_hits = arena.path_cache_hits();
-    stats.path_cache_ancestor_hits = arena.path_cache_ancestor_hits();
-    stats.replayed_deltas = arena.replayed_deltas();
-    stats.replayed_deltas_saved = arena.replayed_deltas_saved();
+    arena.record_stats(&mut stats);
     SearchResult {
         schedule_length: incumbent.makespan(),
         schedule: Some(incumbent),

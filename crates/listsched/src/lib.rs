@@ -5,7 +5,7 @@
 //! 1. **Upper bound for the optimal search.** Section 3.2 of the paper prunes
 //!    any search state whose cost exceeds an upper bound `U` obtained from a
 //!    linear-time heuristic (the FAST-style two-step procedure of reference
-//!    [14]): build a task list in decreasing priority order, then schedule
+//!    \[14\]): build a task list in decreasing priority order, then schedule
 //!    each task on the processor allowing the earliest start time.  This is
 //!    [`upper_bound_schedule`] / [`upper_bound`].
 //! 2. **Baselines.** The same machinery, parameterised by priority attribute

@@ -84,7 +84,7 @@ impl std::fmt::Debug for Histogram {
 /// An immutable copy of a [`Histogram`]; merges like a counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket counts (see [`bucket_bounds`] for the value ranges).
+    /// Per-bucket counts (see [`bucket_of`] for the bucket a value falls in).
     pub buckets: [u64; NUM_BUCKETS],
 }
 

@@ -30,14 +30,14 @@
 //! only when a state is selected for expansion (scratch replay).  A shallow
 //! state moves between PPEs as its *delta chain* (extracted without
 //! materialising, re-rooted below the receiver's slot-0 initial state); one
-//! deeper than [`SNAPSHOT_DEPTH_THRESHOLD`] moves as a single snapshot.
+//! deeper than four (`SNAPSHOT_DEPTH_THRESHOLD`) moves as a single snapshot.
 //! Expanded, goal-popped and shipped-away states release their records, so
 //! the record count tracks the live frontier instead of the whole history.
 //! The `in_flight` gauge counts fixed-size *records* (one per scheduled node
 //! of a chain, `v` per snapshot) so both transfer forms share one unit.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -45,7 +45,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use optsched_core::engine::{
-    expand_state, ArenaConfig, DuplicateFilter, ExpansionContext, StateArena, StateId,
+    expand_state, ArenaConfig, DuplicateFilter, ExpansionContext, SignatureSet, StateArena,
+    StateId,
 };
 use optsched_core::state::{ChildDelta, StateSignature};
 use optsched_core::{SchedulingProblem, SearchOutcome, SearchState, SearchStats};
@@ -207,7 +208,7 @@ struct Transfer {
 /// other PPEs go through [`DupFilter::admit_transfer`], which preserves the
 /// claim-ownership semantics of the sharded table.
 enum DupFilter<'t> {
-    Local { seen: HashSet<StateSignature> },
+    Local(SignatureSet),
     Global { table: &'t ShardedClosedTable, id: usize },
 }
 
@@ -216,14 +217,7 @@ impl DuplicateFilter for DupFilter<'_> {
     /// duplicate counters.
     fn admit(&mut self, sig: StateSignature, g: Cost, stats: &mut SearchStats) -> bool {
         match self {
-            DupFilter::Local { seen } => {
-                if seen.insert(sig) {
-                    true
-                } else {
-                    stats.duplicates += 1;
-                    false
-                }
-            }
+            DupFilter::Local(seen) => seen.admit(sig, g, stats),
             DupFilter::Global { table, id } => match table.try_claim(sig, g, *id) {
                 ClaimOutcome::Claimed => true,
                 ClaimOutcome::DuplicateSameOwner => {
@@ -268,7 +262,7 @@ impl DupFilter<'_> {
     /// claim stays in the table and simply travels with the state (the
     /// signature closure is never evaluated).
     fn release(&mut self, sig: impl FnOnce() -> StateSignature) {
-        if let DupFilter::Local { seen } = self {
+        if let DupFilter::Local(seen) = self {
             seen.remove(&sig());
         }
     }
@@ -571,7 +565,7 @@ fn ppe_worker(
     arena.insert_root(SearchState::initial(problem));
     let mut dup = match &shared.closed {
         Some(table) => DupFilter::Global { table, id },
-        None => DupFilter::Local { seen: HashSet::new() },
+        None => DupFilter::Local(SignatureSet::new()),
     };
     let mut counter: u64 = 0;
 
@@ -934,14 +928,7 @@ fn ppe_worker(
     // adopted snapshots (nothing per OPEN entry).  The record counters report
     // the O(live frontier) behaviour of the refcounted store and the replay
     // work behind it.
-    stats.peak_live_states = arena.peak_live_full() as u64;
-    stats.peak_live_records = arena.peak_live_records() as u64;
-    stats.reclaimed_records = arena.reclaimed_records();
-    stats.materialisations = arena.materialisations();
-    stats.path_cache_hits = arena.path_cache_hits();
-    stats.path_cache_ancestor_hits = arena.path_cache_ancestor_hits();
-    stats.replayed_deltas = arena.replayed_deltas();
-    stats.replayed_deltas_saved = arena.replayed_deltas_saved();
+    arena.record_stats(&mut stats);
     obs::instant(
         "ppe_done",
         obs_track,

@@ -5,8 +5,8 @@
 //!
 //! * **Protocol** ([`protocol`]) — JSON lines in, JSON lines out.  A
 //!   [`Request`] carries a full problem [`Instance`] (task graph + processor
-//!   network in the validated wire formats), an algorithm name resolved
-//!   through the facade's `SchedulerRegistry`, and optional
+//!   network in the validated wire formats), an algorithm name dispatched
+//!   through the facade's `SchedulerSpec::run`, and optional
 //!   `deadline_ms` / `max_expansions` budgets; a [`Response`] carries the
 //!   validated schedule, its quality tag (`optimal` / `anytime` /
 //!   `heuristic`), the canonical instance signature and the service-side

@@ -25,6 +25,7 @@
 
 use std::collections::VecDeque;
 
+use optsched::registry::NAMES;
 use optsched_procnet::Topology;
 
 use crate::protocol::{plan, Instance, Request};
@@ -244,9 +245,31 @@ pub struct ResolvedPlan {
     pub param_bits: u64,
 }
 
-/// Resolves a request into its concrete plan, validating ε and the weight
-/// *before* anything keys on them (the runtime coalesces on this resolution,
-/// so an invalid parameter must fail here, not after a search was shared).
+/// The algorithm name a request asks for: its explicit choice, or the
+/// service default — `wastar` under a deadline, `astar` without one.
+pub(crate) fn requested_algorithm(req: &Request) -> &str {
+    match &req.algorithm {
+        Some(a) => a,
+        None if req.deadline_ms.is_some() => "wastar",
+        None => "astar",
+    }
+}
+
+/// The quality-relevant parameter bits of a run of `algorithm`, the part of
+/// its cache identity beyond the name: ε bits for `aeps`, `w` bits for
+/// `wastar`, 0 for every parameterless algorithm.
+pub(crate) fn param_bits(algorithm: &str, epsilon: f64, weight: f64) -> u64 {
+    match algorithm {
+        "aeps" => epsilon.to_bits(),
+        "wastar" => weight.to_bits(),
+        _ => 0,
+    }
+}
+
+/// Resolves a request into its concrete plan, validating ε, the weight and
+/// the algorithm name *before* anything keys on them (the runtime coalesces
+/// on this resolution, so an invalid request must fail here, before a search
+/// was shared or the instance was even canonicalised).
 pub fn resolve(req: &Request, config: &ServiceConfig) -> Result<ResolvedPlan, String> {
     let epsilon = req.epsilon.unwrap_or(config.epsilon);
     let weight = req.weight.unwrap_or(config.deadline_weight);
@@ -257,57 +280,29 @@ pub fn resolve(req: &Request, config: &ServiceConfig) -> Result<ResolvedPlan, St
         return Err(format!("weight must be a finite number >= 1, got {weight}"));
     }
 
-    let named = match &req.algorithm {
-        Some(a) => a.as_str(),
-        None if req.deadline_ms.is_some() => "wastar",
-        None => "astar",
+    let named = requested_algorithm(req);
+    let (algorithm, mode, weight) = if named == "auto" {
+        let features = InstanceFeatures::of(&req.instance);
+        let exact = features.exact_algorithm();
+        match DeadlineBand::of(req.deadline_ms, features.predicted_exact_ms()) {
+            DeadlineBand::Generous => (exact, PlanMode::AutoExact, weight),
+            DeadlineBand::Tight => {
+                ("wastar", PlanMode::AutoAnytime, features.calibrated_weight(weight))
+            }
+            DeadlineBand::Mid => (exact, PlanMode::AutoRace, features.calibrated_weight(weight)),
+        }
+    } else if NAMES.contains(&named) {
+        (named, PlanMode::Direct, weight)
+    } else {
+        return Err(format!("unknown algorithm `{named}` (expected {}|auto)", NAMES.join("|")));
     };
-    if named != "auto" {
-        let param_bits = match named {
-            "aeps" => epsilon.to_bits(),
-            "wastar" => weight.to_bits(),
-            _ => 0,
-        };
-        return Ok(ResolvedPlan {
-            algorithm: named.to_string(),
-            mode: PlanMode::Direct,
-            epsilon,
-            weight,
-            param_bits,
-        });
-    }
-
-    let features = InstanceFeatures::of(&req.instance);
-    let predicted = features.predicted_exact_ms();
-    match DeadlineBand::of(req.deadline_ms, predicted) {
-        DeadlineBand::Generous => Ok(ResolvedPlan {
-            algorithm: features.exact_algorithm().to_string(),
-            mode: PlanMode::AutoExact,
-            epsilon,
-            weight,
-            param_bits: 0,
-        }),
-        DeadlineBand::Tight => {
-            let w = features.calibrated_weight(weight);
-            Ok(ResolvedPlan {
-                algorithm: "wastar".to_string(),
-                mode: PlanMode::AutoAnytime,
-                epsilon,
-                weight: w,
-                param_bits: w.to_bits(),
-            })
-        }
-        DeadlineBand::Mid => {
-            let w = features.calibrated_weight(weight);
-            Ok(ResolvedPlan {
-                algorithm: features.exact_algorithm().to_string(),
-                mode: PlanMode::AutoRace,
-                epsilon,
-                weight: w,
-                param_bits: 0,
-            })
-        }
-    }
+    Ok(ResolvedPlan {
+        algorithm: algorithm.to_string(),
+        mode,
+        epsilon,
+        weight,
+        param_bits: param_bits(algorithm, epsilon, weight),
+    })
 }
 
 #[cfg(test)]
@@ -402,6 +397,9 @@ mod tests {
         let mut req = Request::new(example_instance());
         req.weight = Some(0.2);
         assert!(resolve(&req, &config).unwrap_err().contains("weight"));
+        let mut req = Request::new(example_instance());
+        req.algorithm = Some("quantum".to_string());
+        assert!(resolve(&req, &config).unwrap_err().contains("unknown algorithm `quantum`"));
     }
 
     #[test]

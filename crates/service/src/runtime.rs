@@ -17,8 +17,9 @@
 //!   per-connection sequence number before pushing it onto the shared
 //!   injector.  Malformed lines and shed requests are answered by the
 //!   reader directly — they never occupy a worker.
-//! * **Workers** (exactly [`ServiceConfig::workers`] threads, however many
-//!   connections exist) pull from the shared injector: an idle worker takes
+//! * **Workers** (exactly
+//!   [`ServiceConfig::workers`](crate::ServiceConfig::workers) threads,
+//!   however many connections exist) pull from the shared injector: an idle worker takes
 //!   the next job immediately, so one expensive exact request occupies one
 //!   worker while cheap requests flow through the others — the
 //!   work-stealing property that per-connection (or per-worker) FIFO queues
@@ -32,11 +33,14 @@
 //!   order, and one connection's replies can never reach another.
 //!
 //! **Admission control.**  The number of admitted-but-unanswered requests is
-//! bounded by [`ServiceConfig::admission_budget`] across all connections
-//! (a CAS reservation — see [`ServiceMetrics::try_reserve_pending`]).  At or
-//! beyond [`ServiceConfig::degrade_threshold`] pending requests, an admitted
-//! request is rewritten to deadline-clamped `wastar` (response marked
-//! `degraded`); with the budget exhausted it is refused outright with a
+//! bounded by
+//! [`ServiceConfig::admission_budget`](crate::ServiceConfig::admission_budget)
+//! across all connections (a CAS reservation — see
+//! [`ServiceMetrics::try_reserve_pending`](crate::ServiceMetrics::try_reserve_pending)).
+//! At or beyond
+//! [`ServiceConfig::degrade_threshold`](crate::ServiceConfig::degrade_threshold)
+//! pending requests, an admitted request is rewritten to deadline-clamped
+//! `wastar` (response marked `degraded`); with the budget exhausted it is refused outright with a
 //! structured `overloaded` response (`shed`).  Either way the caller gets
 //! exactly one response per request and the queue cannot grow unboundedly.
 //!
@@ -489,8 +493,9 @@ impl PoolSummary {
 fn worker_loop(shared: &Shared, jobs: &Receiver<Job>) {
     shared.service.metrics().workers_spawned.fetch_add(1, Ordering::Relaxed);
     while let Ok(job) = jobs.recv() {
-        // A request whose parameters fail resolution has no identity to
-        // coalesce on; answer it directly (the structured parameter error).
+        // A request that fails resolution (invalid parameters, an unknown
+        // algorithm) has no identity to coalesce on; answer it directly (the
+        // structured error).
         let key = match shared.service.cache_identity(&job.request) {
             Ok(key) => key,
             Err(_) => {

@@ -4,8 +4,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use optsched::registry::{SchedulerRegistry, SchedulerSpec};
-use optsched_core::{SchedulingProblem, SearchLimits, SearchOutcome};
+use optsched::registry::SchedulerSpec;
+use optsched_core::{SchedulingProblem, SearchLimits, SearchOutcome, SearchResult};
 use optsched_schedule::Schedule;
 use optsched_taskgraph::Cost;
 
@@ -15,14 +15,15 @@ use crate::portfolio::{self, PlanMode, ResolvedPlan};
 use crate::protocol::{quality, Instance, Request, Response, StatsReport};
 use crate::signature::CanonicalInstance;
 
+/// Lock stripes of the memoizing result cache.
+const CACHE_SHARDS: usize = 8;
+
 /// Configuration of a [`SchedulingService`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Worker threads of the global pool draining the shared request queue
     /// (shared by *all* connections — not a pool per connection).
     pub workers: usize,
-    /// Lock stripes of the memoizing result cache.
-    pub cache_shards: usize,
     /// Per-shard entry cap of the result cache (a full shard evicts its
     /// least-recently-used entry); clamped to at least one entry per shard.
     pub cache_capacity: usize,
@@ -65,7 +66,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: 2,
-            cache_shards: 8,
             cache_capacity: crate::cache::DEFAULT_SHARD_CAPACITY,
             cache_max_age_ms: None,
             admission_budget: 256,
@@ -98,7 +98,7 @@ impl SchedulingService {
     /// A service with the given configuration and an empty cache.
     pub fn new(config: ServiceConfig) -> SchedulingService {
         let cache = Arc::new(ResultCache::with_max_age(
-            config.cache_shards,
+            CACHE_SHARDS,
             config.cache_capacity,
             config.cache_max_age_ms.map(Duration::from_millis),
         ));
@@ -157,16 +157,12 @@ impl SchedulingService {
     /// under deadline pressure, `astar` otherwise).
     ///
     /// Shorthand over [`portfolio::resolve`] for callers that only need the
-    /// name; invalid parameters fall back to the name the portfolio would
-    /// have reported before rejecting them.
+    /// name; a request that fails resolution (invalid parameters, an unknown
+    /// name) falls back to the name it asked for, or to that default.
     pub fn resolve_algorithm(&self, req: &Request) -> String {
         match portfolio::resolve(req, &self.config) {
             Ok(plan) => plan.algorithm,
-            Err(_) => match &req.algorithm {
-                Some(a) => a.clone(),
-                None if req.deadline_ms.is_some() => "wastar".to_string(),
-                None => "astar".to_string(),
-            },
+            Err(_) => portfolio::requested_algorithm(req).to_string(),
         }
     }
 
@@ -178,10 +174,10 @@ impl SchedulingService {
     /// The identity comes from the same [`portfolio::resolve`] call that
     /// [`handle_request`](SchedulingService::handle_request) dispatches on,
     /// so the two can never disagree — and a request with invalid ε/weight
-    /// fails *here*, before anything coalesces on it.  The literal string
-    /// `"auto"` never appears in an identity: an auto request keys on what
-    /// the portfolio resolved it to, so a tight heuristic answer can never
-    /// alias a generous exact one.
+    /// or an unknown algorithm name fails *here*, before anything coalesces
+    /// on it.  The literal string `"auto"` never appears in an identity: an
+    /// auto request keys on what the portfolio resolved it to, so a tight
+    /// heuristic answer can never alias a generous exact one.
     pub(crate) fn cache_identity(&self, req: &Request) -> Result<(u64, String, u64, u8), String> {
         let plan = portfolio::resolve(req, &self.config)?;
         Ok((
@@ -204,12 +200,13 @@ impl SchedulingService {
 
     /// Serves one parsed request.
     ///
-    /// The instance is interned under its canonical signature and the
-    /// sharded result cache is consulted first; a miss runs the requested
-    /// algorithm through the facade's [`SchedulerRegistry`] with the
-    /// request's deadline threaded into [`SearchLimits::max_millis`].  Every
-    /// response's schedule is validated against the instance before it is
-    /// sent.
+    /// The request is resolved into its plan first, so invalid parameters
+    /// and unknown algorithm names fail before any other work.  The instance
+    /// is then interned under its canonical signature and the sharded result
+    /// cache is consulted; a miss runs the plan through the facade's
+    /// [`SchedulerSpec::run`] with the request's deadline threaded into
+    /// [`SearchLimits::max_millis`].  Every response's schedule is validated
+    /// against the instance before it is sent.
     pub fn handle_request(&self, req: &Request, fallback_id: u64) -> Response {
         let start = Instant::now();
         let mut response = self.handle_request_inner(req, fallback_id, start);
@@ -246,67 +243,105 @@ impl SchedulingService {
 
         let canon = CanonicalInstance::of(instance);
         let signature = canon.signature();
-        let sig_hex = format!("{signature:016x}");
-
-        if let Some(cached) = self.cache.lookup(signature, &canon, &plan.algorithm, plan.param_bits)
-        {
-            // Validate even the memoized schedule against *this* request's
-            // instance: canonical equality guarantees it fits, and the check
-            // is cheap insurance against cache corruption.
-            if cached.schedule.validate(&instance.graph, &instance.network).is_ok() {
-                return Response {
-                    id,
-                    ok: true,
-                    algorithm: Some(cached.algorithm),
-                    plan: plan.mode.plan_tag().map(str::to_string),
-                    quality: Some(cached.quality),
-                    schedule_length: Some(cached.schedule_length),
-                    schedule: Some(cached.schedule),
-                    signature: Some(sig_hex),
-                    cache_hit: true,
-                    shed: false,
-                    degraded: false,
-                    // A hit reports the producing run's provenance, not
-                    // zeros: dashboards can still see what the answer cost.
-                    expanded: cached.expanded,
-                    peak_live_records: cached.peak_live_records,
-                    elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
-                    error: None,
-                };
-            }
-        }
-
-        match plan.mode {
-            PlanMode::AutoRace => self.run_race(req, &plan, &canon, signature, sig_hex, id, start),
-            _ => self.run_plan(req, &plan, &canon, signature, sig_hex, id, start),
+        // Validate even a memoized schedule against *this* request's
+        // instance: canonical equality guarantees it fits, and the check is
+        // cheap insurance against cache corruption.
+        let hit = self
+            .cache
+            .lookup(signature, &canon, &plan.algorithm, plan.param_bits)
+            .filter(|c| c.schedule.validate(&instance.graph, &instance.network).is_ok());
+        let cache_hit = hit.is_some();
+        let answer = match hit {
+            Some(cached) => cached,
+            None => match self.run_plan(req, &plan, &canon, signature, start) {
+                Ok(answer) => answer,
+                Err(e) => return Response::error(id, e),
+            },
+        };
+        Response {
+            id,
+            ok: true,
+            algorithm: Some(answer.algorithm),
+            plan: plan.mode.plan_tag().map(str::to_string),
+            quality: Some(answer.quality),
+            schedule_length: Some(answer.schedule_length),
+            schedule: Some(answer.schedule),
+            signature: Some(format!("{signature:016x}")),
+            cache_hit,
+            shed: false,
+            degraded: false,
+            // A hit reports the producing run's provenance, not zeros:
+            // dashboards can still see what the answer cost.
+            expanded: answer.expanded,
+            peak_live_records: answer.peak_live_records,
+            elapsed_ms: 0.0, // stamped by `handle_request`
+            error: None,
         }
     }
 
-    /// Runs a resolved single-search plan (direct, auto-exact or
-    /// auto-anytime) and builds the response.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs a resolved plan on a cache miss: the plan's algorithm under the
+    /// request's limits, validated and tagged.
+    ///
+    /// Every search here is memoized under its own identity when it
+    /// completed: a completed run carries its full guarantee and is
+    /// deterministic, while a limit-truncated incumbent is *not* memoized —
+    /// a later unconstrained request deserves the real search.
+    ///
+    /// The mid-band race ([`PlanMode::AutoRace`]) first runs a calibrated
+    /// weighted-A\* leg on a quarter of the deadline to secure a good
+    /// feasible answer; a completed leg is memoized under its `wastar`
+    /// identity, so direct `wastar` requests with this weight benefit too.
+    /// The exact algorithm then gets whatever budget is left, and the answer
+    /// reports the cost of both legs.  Both exact auto bands warm-start from
+    /// the better of the race leg (if any) and a validated cache
+    /// near-match, so a race is never worse than what plain `wastar` would
+    /// have returned from the same budget split.
     fn run_plan(
         &self,
         req: &Request,
         plan: &ResolvedPlan,
         canon: &CanonicalInstance,
         signature: u64,
-        sig_hex: String,
-        id: u64,
         start: Instant,
-    ) -> Response {
+    ) -> Result<CachedResult, String> {
         let instance = &req.instance;
         let problem = SchedulingProblem::new(instance.graph.clone(), instance.network.clone());
-        // Only the exact auto band probes the cache for a structurally near
-        // incumbent: the generous deadline is what makes the (possibly
-        // useless) donor worth validating.
-        let warm = if plan.mode == PlanMode::AutoExact {
-            self.warm_start_candidate(signature, canon, instance, problem.upper_bound(), None)
-        } else {
-            None
+        let upper_bound = problem.upper_bound();
+        let search = |name: &str, spec: &SchedulerSpec| -> Result<CachedResult, String> {
+            // `resolve` admits only dispatchable names, and every family
+            // returns a schedule.
+            let Some(SearchResult { schedule: Some(schedule), outcome, stats, .. }) =
+                spec.run(name, &problem).map(|run| run.result)
+            else {
+                return Err(format!("`{name}` produced no schedule"));
+            };
+            if let Err(e) = schedule.validate(&instance.graph, &instance.network) {
+                return Err(format!("internal error: invalid schedule: {e}"));
+            }
+            let length = schedule.makespan();
+            let completed = matches!(outcome, SearchOutcome::Optimal | SearchOutcome::Exhausted);
+            // `parallel` always runs exact here: requests cannot set
+            // `ParallelConfig::epsilon` (if that knob is ever exposed, its ε
+            // must also join `param_bits` so approximate and exact parallel
+            // answers never share a cache slot).
+            let bounded_suboptimal = (name == "aeps" && plan.epsilon > 0.0)
+                || (name == "wastar" && plan.weight > 1.0);
+            let answer = CachedResult {
+                schedule,
+                schedule_length: length,
+                quality: quality_tag(outcome, length, upper_bound, bounded_suboptimal).to_string(),
+                algorithm: name.to_string(),
+                expanded: stats.expanded,
+                peak_live_records: stats.peak_live_records,
+            };
+            if completed {
+                let bits = portfolio::param_bits(name, plan.epsilon, plan.weight);
+                self.cache.insert(signature, canon, name, bits, answer.clone());
+            }
+            Ok(answer)
         };
 
-        let spec = SchedulerSpec {
+        let mut spec = SchedulerSpec {
             limits: SearchLimits {
                 max_millis: req.deadline_ms,
                 max_expansions: req.max_expansions,
@@ -315,227 +350,32 @@ impl SchedulingService {
             epsilon: plan.epsilon,
             weight: plan.weight,
             seed_incumbent: self.config.seed_incumbent,
-            warm_start: warm,
             ..Default::default()
         };
-        let registry = SchedulerRegistry::with_spec(spec);
-        let Some(scheduler) = registry.get(&plan.algorithm) else {
-            return Response::error(
-                id,
-                format!(
-                    "unknown algorithm `{}` (expected {}|auto)",
-                    plan.algorithm,
-                    registry.names().join("|")
-                ),
-            );
-        };
-
-        let run = scheduler.run(&problem);
-        let Some(schedule) = run.result.schedule else {
-            return Response::error(id, format!("`{}` produced no schedule", plan.algorithm));
-        };
-        if let Err(e) = schedule.validate(&instance.graph, &instance.network) {
-            return Response::error(id, format!("internal error: invalid schedule: {e}"));
+        let mut leg = None;
+        if plan.mode == PlanMode::AutoRace {
+            // The mid band only exists for requests with a deadline.
+            let total = req.deadline_ms.unwrap_or(0);
+            spec.limits.max_millis = Some((total / 4).max(1));
+            leg = search("wastar", &spec).ok();
+            let elapsed_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
+            spec.limits.max_millis = Some(total.saturating_sub(elapsed_ms));
         }
-
-        let length = schedule.makespan();
-        let completed =
-            matches!(run.result.outcome, SearchOutcome::Optimal | SearchOutcome::Exhausted);
-        // `parallel` always runs exact here: requests cannot set
-        // `ParallelConfig::epsilon` (if that knob is ever exposed, its ε must
-        // also join `param_bits` so approximate and exact parallel answers
-        // never share a cache slot).
-        let bounded_suboptimal = (plan.algorithm == "aeps" && plan.epsilon > 0.0)
-            || (plan.algorithm == "wastar" && plan.weight > 1.0);
-        let tag = quality_tag(run.result.outcome, length, problem.upper_bound(), bounded_suboptimal);
-
-        // Memoize completed runs only: they carry their full guarantee and
-        // are deterministic.  A deadline-truncated incumbent is *not*
-        // memoized — a later unconstrained request deserves the real search.
-        if completed {
-            self.memoize(
-                signature,
-                canon,
-                &plan.algorithm,
-                plan.param_bits,
-                &schedule,
-                length,
-                tag,
-                run.result.stats.expanded,
-                run.result.stats.peak_live_records,
-            );
+        // Only the exact auto bands probe the cache for a structurally near
+        // incumbent: the deadline that affords an exact search is what makes
+        // the (possibly useless) donor worth validating.
+        if matches!(plan.mode, PlanMode::AutoExact | PlanMode::AutoRace) {
+            let leg_schedule = leg.as_ref().map(|l| &l.schedule);
+            spec.warm_start =
+                self.warm_start_candidate(signature, canon, instance, upper_bound, leg_schedule);
         }
-
-        Response {
-            id,
-            ok: true,
-            algorithm: Some(plan.algorithm.clone()),
-            plan: plan.mode.plan_tag().map(str::to_string),
-            quality: Some(tag.to_string()),
-            schedule_length: Some(length),
-            schedule: Some(schedule),
-            signature: Some(sig_hex),
-            cache_hit: false,
-            shed: false,
-            degraded: false,
-            expanded: run.result.stats.expanded,
-            peak_live_records: run.result.stats.peak_live_records,
-            elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
-            error: None,
-        }
-    }
-
-    /// The mid-band staged race: a short weighted-A\* leg secures a good
-    /// feasible answer, then the remaining budget runs the exact algorithm
-    /// warm-started from that leg (and from the cache's nearest structural
-    /// match, whichever validates better).  The exact leg starts from the
-    /// race leg's incumbent, so the final answer is never worse than what
-    /// plain `wastar` would have returned from the same budget split.
-    #[allow(clippy::too_many_arguments)]
-    fn run_race(
-        &self,
-        req: &Request,
-        plan: &ResolvedPlan,
-        canon: &CanonicalInstance,
-        signature: u64,
-        sig_hex: String,
-        id: u64,
-        start: Instant,
-    ) -> Response {
-        let instance = &req.instance;
-        let problem = SchedulingProblem::new(instance.graph.clone(), instance.network.clone());
-        // The mid band only exists for requests with a deadline.
-        let total = req.deadline_ms.unwrap_or(0);
-        let leg_budget = (total / 4).max(1);
-
-        // Leg 1: calibrated weighted A*, a quarter of the budget.
-        let leg_spec = SchedulerSpec {
-            limits: SearchLimits {
-                max_millis: Some(leg_budget),
-                max_expansions: req.max_expansions,
-                ..Default::default()
-            },
-            epsilon: plan.epsilon,
-            weight: plan.weight,
-            seed_incumbent: self.config.seed_incumbent,
-            ..Default::default()
-        };
-        let leg_registry = SchedulerRegistry::with_spec(leg_spec);
-        let leg_run =
-            leg_registry.get("wastar").expect("wastar is always registered").run(&problem);
-        let leg_schedule = leg_run.result.schedule;
-        if let Some(leg) = &leg_schedule {
-            // A completed leg carries its full w-bounded guarantee: memoize
-            // it under its *own* identity so direct `wastar` requests with
-            // this weight benefit too.
-            if matches!(leg_run.result.outcome, SearchOutcome::Optimal | SearchOutcome::Exhausted)
-            {
-                let leg_len = leg.makespan();
-                let leg_tag = quality_tag(
-                    leg_run.result.outcome,
-                    leg_len,
-                    problem.upper_bound(),
-                    plan.weight > 1.0,
-                );
-                self.memoize(
-                    signature,
-                    canon,
-                    "wastar",
-                    plan.weight.to_bits(),
-                    leg,
-                    leg_len,
-                    leg_tag,
-                    leg_run.result.stats.expanded,
-                    leg_run.result.stats.peak_live_records,
-                );
-            }
-        }
-
-        // Leg 2: the exact algorithm on whatever budget is left, starting
-        // from the best incumbent the race has (leg schedule or a validated
-        // cache near-match).
-        let elapsed_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
-        let remaining = total.saturating_sub(elapsed_ms);
-        let warm = self.warm_start_candidate(
-            signature,
-            canon,
-            instance,
-            problem.upper_bound(),
-            leg_schedule.as_ref(),
-        );
-        let exact_spec = SchedulerSpec {
-            limits: SearchLimits {
-                max_millis: Some(remaining),
-                max_expansions: req.max_expansions,
-                ..Default::default()
-            },
-            epsilon: plan.epsilon,
-            weight: plan.weight,
-            seed_incumbent: self.config.seed_incumbent,
-            warm_start: warm,
-            ..Default::default()
-        };
-        let registry = SchedulerRegistry::with_spec(exact_spec);
-        let Some(scheduler) = registry.get(&plan.algorithm) else {
-            return Response::error(
-                id,
-                format!(
-                    "unknown algorithm `{}` (expected {}|auto)",
-                    plan.algorithm,
-                    registry.names().join("|")
-                ),
-            );
-        };
-        let run = scheduler.run(&problem);
-        let Some(schedule) = run.result.schedule else {
-            return Response::error(id, format!("`{}` produced no schedule", plan.algorithm));
-        };
-        if let Err(e) = schedule.validate(&instance.graph, &instance.network) {
-            return Response::error(id, format!("internal error: invalid schedule: {e}"));
-        }
-
-        let length = schedule.makespan();
-        let completed =
-            matches!(run.result.outcome, SearchOutcome::Optimal | SearchOutcome::Exhausted);
-        let tag = quality_tag(run.result.outcome, length, problem.upper_bound(), false);
-        if completed {
-            // The race proved optimality inside the deadline: memoize under
-            // the exact identity, where generous requests will look.
-            self.memoize(
-                signature,
-                canon,
-                &plan.algorithm,
-                plan.param_bits,
-                &schedule,
-                length,
-                tag,
-                run.result.stats.expanded,
-                run.result.stats.peak_live_records,
-            );
-        }
-
-        Response {
-            id,
-            ok: true,
-            algorithm: Some(plan.algorithm.clone()),
-            plan: plan.mode.plan_tag().map(str::to_string),
-            quality: Some(tag.to_string()),
-            schedule_length: Some(length),
-            schedule: Some(schedule),
-            signature: Some(sig_hex),
-            cache_hit: false,
-            shed: false,
-            degraded: false,
+        let mut answer = search(&plan.algorithm, &spec)?;
+        if let Some(leg) = leg {
             // The race's cost is both legs' cost.
-            expanded: leg_run.result.stats.expanded + run.result.stats.expanded,
-            peak_live_records: leg_run
-                .result
-                .stats
-                .peak_live_records
-                .max(run.result.stats.peak_live_records),
-            elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
-            error: None,
+            answer.expanded += leg.expanded;
+            answer.peak_live_records = answer.peak_live_records.max(leg.peak_live_records);
         }
+        Ok(answer)
     }
 
     /// Picks the warm-start incumbent for an exact auto search: the better
@@ -570,36 +410,6 @@ impl SchedulingService {
         } else {
             leg.cloned().or(donor)
         }
-    }
-
-    /// Inserts a completed run into the memoizing cache with its provenance.
-    #[allow(clippy::too_many_arguments)]
-    fn memoize(
-        &self,
-        signature: u64,
-        canon: &CanonicalInstance,
-        algorithm: &str,
-        param_bits: u64,
-        schedule: &Schedule,
-        length: Cost,
-        tag: &str,
-        expanded: u64,
-        peak_live_records: u64,
-    ) {
-        self.cache.insert(
-            signature,
-            canon,
-            algorithm,
-            param_bits,
-            CachedResult {
-                schedule: schedule.clone(),
-                schedule_length: length,
-                quality: tag.to_string(),
-                algorithm: algorithm.to_string(),
-                expanded,
-                peak_live_records,
-            },
-        );
     }
 }
 

@@ -13,7 +13,8 @@
 //! * the cache keys on the *resolved* plan: an exact auto answer interns
 //!   with direct exact requests, and a completed `wastar` entry can
 //!   warm-start a later generous auto search (counted in
-//!   `auto_warm_starts`).
+//!   `auto_warm_starts`), and a race's completed weighted-A\* leg is
+//!   memoized under its own `wastar` identity.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +25,7 @@ use optsched_service::{
     plan, quality, Instance, InstanceFeatures, Request, SchedulingService, ServiceConfig,
 };
 use optsched_taskgraph::paper_example_dag;
-use optsched_workload::{generate_random_dag, RandomDagConfig};
+use optsched_workload::{fork_join, generate_random_dag, RandomDagConfig};
 
 fn auto_request(instance: Instance, deadline_ms: Option<u64>) -> Request {
     let mut req = Request::new(instance);
@@ -108,6 +109,33 @@ fn auto_mid_band_races_and_stays_feasible() {
     let ub = SchedulingProblem::new(instance.graph.clone(), instance.network.clone()).upper_bound();
     assert!(schedule.makespan() <= ub, "{} > list bound {ub}", schedule.makespan());
     assert_eq!(svc.metrics_snapshot().auto_raced, 1);
+}
+
+/// The race memoizes its completed weighted-A\* leg under the leg's own
+/// identity (`wastar` at the calibrated weight, here the default 1.5), so a
+/// later direct `wastar` request is a cache hit; the race itself reports the
+/// cost of both legs, which exceeds the leg's alone.
+#[test]
+fn a_completed_race_leg_serves_direct_wastar_requests() {
+    let instance = Instance::new(fork_join(8, 10, 5), ProcNetwork::fully_connected(3));
+    let predicted = InstanceFeatures::of(&instance).predicted_exact_ms();
+    let svc = SchedulingService::new(ServiceConfig::default());
+    let race = svc.handle_request(&auto_request(instance.clone(), Some(predicted * 2)), 0);
+    assert!(race.ok, "{:?}", race.error);
+    assert_eq!(race.plan.as_deref(), Some(plan::AUTO_RACED));
+
+    let mut direct = Request::new(instance);
+    direct.algorithm = Some("wastar".to_string());
+    let hit = svc.handle_request(&direct, 1);
+    assert!(hit.ok, "{:?}", hit.error);
+    assert!(hit.cache_hit, "the completed leg is memoized under its wastar identity");
+    assert_eq!(hit.algorithm.as_deref(), Some("wastar"));
+    assert!(
+        race.expanded > hit.expanded,
+        "the race sums both legs: race {} vs leg {}",
+        race.expanded,
+        hit.expanded
+    );
 }
 
 /// Dominance: for the same instance and deadline, `auto` never returns a

@@ -5,10 +5,9 @@
 //! Complexity Using Effective Search Techniques"* (ICPP 1998).
 //!
 //! This crate is a thin facade that re-exports the workspace members and
-//! hosts the [`registry`] — the object-safe [`Scheduler`](registry::Scheduler)
-//! trait and name-indexed [`SchedulerRegistry`](registry::SchedulerRegistry)
-//! the CLI, the experiment binaries and the conformance suite dispatch
-//! through:
+//! hosts the [`registry`] — [`SchedulerSpec::run`](registry::SchedulerSpec::run),
+//! the one dispatch by algorithm name that the CLI, the service, the
+//! experiment binaries and the conformance suite call:
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
@@ -51,7 +50,7 @@ pub mod registry;
 
 /// Commonly used items, re-exported for convenient glob imports.
 pub mod prelude {
-    pub use crate::registry::{Scheduler, SchedulerRegistry, SchedulerSpec, SearchReport};
+    pub use crate::registry::{SchedulerSpec, SearchReport};
     pub use optsched_core::{
         exhaustive_optimal, AEpsScheduler, AStarScheduler, ArenaConfig, ChenYuScheduler,
         ExhaustiveScheduler, HeuristicKind, PruningConfig, SchedulingProblem, SearchLimits,

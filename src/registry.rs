@@ -1,12 +1,13 @@
-//! The scheduler registry: one object-safe dispatch point for every
-//! scheduler family in the workspace.
+//! The scheduler dispatch point: one function of the algorithm name for
+//! every scheduler family in the workspace.
 //!
-//! The CLI, the experiment binaries and the conformance suite used to
-//! hand-match algorithm names onto concrete scheduler types; they now build a
-//! [`SchedulerSpec`] (the union of every family's knobs), instantiate a
-//! [`SchedulerRegistry`] and dispatch by name through the [`Scheduler`]
-//! trait.  Adding a scheduler family to the workspace means implementing the
-//! trait and registering one entry here — every front end picks it up.
+//! The CLI, the service, the experiment binaries and the conformance suite
+//! build a [`SchedulerSpec`] (the union of every family's knobs) and call
+//! [`SchedulerSpec::run`] with one of the [`NAMES`]; none of them has
+//! per-algorithm code paths.  Adding a scheduler family to the workspace
+//! means one arm in [`SchedulerSpec::run`], one in
+//! [`SchedulerSpec::describe`] and its name in [`NAMES`] — every front end
+//! picks it up.
 
 use optsched_core::{
     AEpsScheduler, AStarScheduler, ChenYuScheduler, ExhaustiveScheduler, HeuristicKind,
@@ -16,20 +17,6 @@ use optsched_core::{
 use optsched_listsched::upper_bound_schedule;
 use optsched_parallel::{ParallelAStarScheduler, ParallelConfig, ParallelSearchResult};
 use optsched_schedule::Schedule;
-
-/// An object-safe scheduler: anything that maps a [`SchedulingProblem`] to a
-/// [`SearchResult`].
-pub trait Scheduler {
-    /// The registry name (and CLI `--algorithm` value) of this scheduler.
-    fn name(&self) -> &'static str;
-
-    /// One-line human description (shown by `optsched schedule --help`-style
-    /// listings and used in reports).
-    fn description(&self) -> String;
-
-    /// Runs the scheduler on `problem`.
-    fn run(&self, problem: &SchedulingProblem) -> SearchReport;
-}
 
 /// The result of a dispatched run: the uniform [`SearchResult`] plus any
 /// family-specific extras (e.g. the parallel scheduler's CLOSED-table
@@ -42,14 +29,8 @@ pub struct SearchReport {
     pub extras: Vec<(String, String)>,
 }
 
-impl SearchReport {
-    fn plain(result: SearchResult) -> SearchReport {
-        SearchReport { result, extras: Vec::new() }
-    }
-}
-
-/// Configuration shared by every registered scheduler family; each family
-/// reads the knobs that apply to it.
+/// Configuration shared by every scheduler family; each family reads the
+/// knobs that apply to it.
 #[derive(Debug, Clone)]
 pub struct SchedulerSpec {
     /// Resource limits (all families, including `exhaustive`; for
@@ -128,141 +109,85 @@ pub fn path_cache_hit_rate(stats: &SearchStats) -> String {
     }
 }
 
-struct AStarEntry(SchedulerSpec);
-struct WAStarEntry(SchedulerSpec);
-struct AEpsEntry(SchedulerSpec);
-struct ChenYuEntry(SchedulerSpec);
-struct ExhaustiveEntry(SchedulerSpec);
-struct ListEntry;
-struct ParallelEntry(SchedulerSpec);
+/// Every scheduler family [`SchedulerSpec::run`] dispatches to, in display
+/// order (also the CLI's `--algorithm` values).
+pub const NAMES: [&str; 7] =
+    ["astar", "wastar", "aeps", "chenyu", "exhaustive", "list", "parallel"];
 
-impl Scheduler for AStarEntry {
-    fn name(&self) -> &'static str {
-        "astar"
-    }
-    fn description(&self) -> String {
-        "serial A*".to_string()
-    }
-    fn run(&self, problem: &SchedulingProblem) -> SearchReport {
-        SearchReport::plain(
-            AStarScheduler::new(problem)
-                .with_pruning(self.0.pruning)
-                .with_heuristic(self.0.heuristic)
-                .with_limits(self.0.limits)
-                .with_seeded_incumbent(self.0.seed_incumbent)
-                .with_warm_start(self.0.warm_start.clone())
+impl SchedulerSpec {
+    /// Runs the family called `name` on `problem` with this spec's knobs;
+    /// `None` when `name` is not one of [`NAMES`].
+    pub fn run(&self, name: &str, problem: &SchedulingProblem) -> Option<SearchReport> {
+        let result = match name {
+            "astar" => AStarScheduler::new(problem)
+                .with_pruning(self.pruning)
+                .with_heuristic(self.heuristic)
+                .with_limits(self.limits)
+                .with_seeded_incumbent(self.seed_incumbent)
+                .with_warm_start(self.warm_start.clone())
                 .run(),
-        )
-    }
-}
-
-impl Scheduler for WAStarEntry {
-    fn name(&self) -> &'static str {
-        "wastar"
-    }
-    fn description(&self) -> String {
-        format!("weighted A* (w = {}, anytime)", self.0.weight)
-    }
-    fn run(&self, problem: &SchedulingProblem) -> SearchReport {
-        SearchReport::plain(
-            WAStarScheduler::new(problem, self.0.weight)
-                .with_pruning(self.0.pruning)
-                .with_heuristic(self.0.heuristic)
-                .with_limits(self.0.limits)
-                .with_seeded_incumbent(self.0.seed_incumbent)
-                .with_warm_start(self.0.warm_start.clone())
+            "wastar" => WAStarScheduler::new(problem, self.weight)
+                .with_pruning(self.pruning)
+                .with_heuristic(self.heuristic)
+                .with_limits(self.limits)
+                .with_seeded_incumbent(self.seed_incumbent)
+                .with_warm_start(self.warm_start.clone())
                 .run(),
-        )
-    }
-}
-
-impl Scheduler for AEpsEntry {
-    fn name(&self) -> &'static str {
-        "aeps"
-    }
-    fn description(&self) -> String {
-        format!("Aε* (ε = {})", self.0.epsilon)
-    }
-    fn run(&self, problem: &SchedulingProblem) -> SearchReport {
-        SearchReport::plain(
-            AEpsScheduler::new(problem, self.0.epsilon)
-                .with_pruning(self.0.pruning)
-                .with_heuristic(self.0.heuristic)
-                .with_limits(self.0.limits)
-                .with_seeded_incumbent(self.0.seed_incumbent)
-                .with_warm_start(self.0.warm_start.clone())
+            "aeps" => AEpsScheduler::new(problem, self.epsilon)
+                .with_pruning(self.pruning)
+                .with_heuristic(self.heuristic)
+                .with_limits(self.limits)
+                .with_seeded_incumbent(self.seed_incumbent)
+                .with_warm_start(self.warm_start.clone())
                 .run(),
-        )
-    }
-}
-
-impl Scheduler for ChenYuEntry {
-    fn name(&self) -> &'static str {
-        "chenyu"
-    }
-    fn description(&self) -> String {
-        "Chen & Yu branch-and-bound".to_string()
-    }
-    fn run(&self, problem: &SchedulingProblem) -> SearchReport {
-        SearchReport::plain(
-            ChenYuScheduler::new(problem)
-                .with_limits(self.0.limits)
-                .with_seeded_incumbent(self.0.seed_incumbent)
-                .with_warm_start(self.0.warm_start.clone())
+            "chenyu" => ChenYuScheduler::new(problem)
+                .with_limits(self.limits)
+                .with_seeded_incumbent(self.seed_incumbent)
+                .with_warm_start(self.warm_start.clone())
                 .run(),
-        )
+            "exhaustive" => ExhaustiveScheduler::new(problem).with_limits(self.limits).run(),
+            "list" => {
+                let start = std::time::Instant::now();
+                let schedule = upper_bound_schedule(problem.graph(), problem.network());
+                SearchResult {
+                    schedule_length: schedule.makespan(),
+                    schedule: Some(schedule),
+                    outcome: SearchOutcome::Heuristic,
+                    stats: Default::default(),
+                    elapsed: start.elapsed(),
+                }
+            }
+            "parallel" => return Some(self.run_parallel(problem)),
+            _ => return None,
+        };
+        Some(SearchReport { result, extras: Vec::new() })
     }
-}
 
-impl Scheduler for ExhaustiveEntry {
-    fn name(&self) -> &'static str {
-        "exhaustive"
-    }
-    fn description(&self) -> String {
-        "exhaustive enumeration".to_string()
-    }
-    fn run(&self, problem: &SchedulingProblem) -> SearchReport {
-        SearchReport::plain(
-            ExhaustiveScheduler::new(problem)
-                .with_limits(self.0.limits)
-                .run(),
-        )
-    }
-}
-
-impl Scheduler for ListEntry {
-    fn name(&self) -> &'static str {
-        "list"
-    }
-    fn description(&self) -> String {
-        "list-scheduling heuristic".to_string()
-    }
-    fn run(&self, problem: &SchedulingProblem) -> SearchReport {
-        let start = std::time::Instant::now();
-        let schedule = upper_bound_schedule(problem.graph(), problem.network());
-        SearchReport::plain(SearchResult {
-            schedule_length: schedule.makespan(),
-            schedule: Some(schedule),
-            outcome: SearchOutcome::Heuristic,
-            stats: Default::default(),
-            elapsed: start.elapsed(),
+    /// One-line human description of the family called `name` as this spec
+    /// configures it (the CLI's `algorithm` report line); `None` when `name`
+    /// is not one of [`NAMES`].
+    pub fn describe(&self, name: &str) -> Option<String> {
+        Some(match name {
+            "astar" => "serial A*".to_string(),
+            "wastar" => format!("weighted A* (w = {}, anytime)", self.weight),
+            "aeps" => format!("Aε* (ε = {})", self.epsilon),
+            "chenyu" => "Chen & Yu branch-and-bound".to_string(),
+            "exhaustive" => "exhaustive enumeration".to_string(),
+            "list" => "list-scheduling heuristic".to_string(),
+            "parallel" => format!(
+                "parallel A* ({} PPEs, {} duplicate detection)",
+                self.parallel.num_ppes, self.parallel.duplicate_detection
+            ),
+            _ => return None,
         })
     }
-}
 
-impl Scheduler for ParallelEntry {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-    fn description(&self) -> String {
-        format!(
-            "parallel A* ({} PPEs, {} duplicate detection)",
-            self.0.parallel.num_ppes, self.0.parallel.duplicate_detection
-        )
-    }
-    fn run(&self, problem: &SchedulingProblem) -> SearchReport {
-        let mut cfg = self.0.parallel;
-        cfg.limits = self.0.limits;
+    /// The `parallel` family: the spec's limits override
+    /// [`ParallelConfig::limits`], and the PPE and CLOSED-table counters come
+    /// back as extras.
+    fn run_parallel(&self, problem: &SchedulingProblem) -> SearchReport {
+        let mut cfg = self.parallel;
+        cfg.limits = self.limits;
         let r = ParallelAStarScheduler::new(problem, cfg).run();
         let totals = r.total_stats();
         let mut extras = vec![
@@ -298,44 +223,6 @@ impl Scheduler for ParallelEntry {
     }
 }
 
-/// A name → [`Scheduler`] table over every family in the workspace.
-pub struct SchedulerRegistry {
-    entries: Vec<Box<dyn Scheduler>>,
-}
-
-impl SchedulerRegistry {
-    /// The built-in families (`astar`, `wastar`, `aeps`, `chenyu`,
-    /// `exhaustive`, `list`, `parallel`), each configured from `spec`.
-    pub fn with_spec(spec: SchedulerSpec) -> SchedulerRegistry {
-        SchedulerRegistry {
-            entries: vec![
-                Box::new(AStarEntry(spec.clone())),
-                Box::new(WAStarEntry(spec.clone())),
-                Box::new(AEpsEntry(spec.clone())),
-                Box::new(ChenYuEntry(spec.clone())),
-                Box::new(ExhaustiveEntry(spec.clone())),
-                Box::new(ListEntry),
-                Box::new(ParallelEntry(spec)),
-            ],
-        }
-    }
-
-    /// The registry with every knob at its default.
-    pub fn builtin() -> SchedulerRegistry {
-        SchedulerRegistry::with_spec(SchedulerSpec::default())
-    }
-
-    /// Looks a scheduler up by its registry name.
-    pub fn get(&self, name: &str) -> Option<&dyn Scheduler> {
-        self.entries.iter().find(|s| s.name() == name).map(|b| b.as_ref())
-    }
-
-    /// Every registered name, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.entries.iter().map(|s| s.name()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,22 +235,21 @@ mod tests {
 
     #[test]
     fn registry_lists_every_family() {
-        let reg = SchedulerRegistry::builtin();
-        assert_eq!(
-            reg.names(),
-            vec!["astar", "wastar", "aeps", "chenyu", "exhaustive", "list", "parallel"]
-        );
-        assert!(reg.get("astar").is_some());
-        assert!(reg.get("wastar").is_some());
-        assert!(reg.get("quantum").is_none());
+        assert_eq!(NAMES, ["astar", "wastar", "aeps", "chenyu", "exhaustive", "list", "parallel"]);
+        let spec = SchedulerSpec::default();
+        for name in NAMES {
+            assert!(spec.describe(name).is_some(), "{name}");
+        }
+        assert!(spec.describe("quantum").is_none());
+        assert!(spec.run("quantum", &example_problem()).is_none());
     }
 
     #[test]
     fn every_exact_family_reaches_the_paper_optimum_via_dispatch() {
         let problem = example_problem();
-        let reg = SchedulerRegistry::builtin();
+        let spec = SchedulerSpec::default();
         for name in ["astar", "wastar", "aeps", "chenyu", "exhaustive", "parallel"] {
-            let report = reg.get(name).expect(name).run(&problem);
+            let report = spec.run(name, &problem).expect(name);
             // aeps runs at the default ε = 0.2 (and wastar at the default
             // w = 1.0) yet still finds 14 here.
             assert_eq!(report.result.schedule_length, 14, "{name}");
@@ -375,7 +261,7 @@ mod tests {
                 .validate(problem.graph(), problem.network())
                 .unwrap();
         }
-        let list = reg.get("list").unwrap().run(&problem);
+        let list = spec.run("list", &problem).unwrap();
         assert_eq!(list.result.outcome, SearchOutcome::Heuristic);
         assert!(list.result.schedule_length >= 14);
     }
@@ -383,8 +269,8 @@ mod tests {
     #[test]
     fn parallel_entry_reports_extras() {
         let problem = example_problem();
-        let reg = SchedulerRegistry::builtin();
-        let report = reg.get("parallel").unwrap().run(&problem);
+        let spec = SchedulerSpec::default();
+        let report = spec.run("parallel", &problem).unwrap();
         assert!(report.extras.iter().any(|(k, _)| k == "states expanded"));
         assert!(report.extras.iter().any(|(k, _)| k == "peak_live_states"));
         assert!(report.extras.iter().any(|(k, _)| k == "peak_live_records"));
@@ -397,21 +283,21 @@ mod tests {
             report.extras.iter().any(|(k, _)| k == "closed table"),
             "default mode is sharded, which reports table stats"
         );
-        let desc = reg.get("parallel").unwrap().description();
+        let desc = spec.describe("parallel").unwrap();
         assert!(desc.contains("sharded"), "{desc}");
     }
 
     /// Arena reclamation reaches both the serial engines and the PPE workers
-    /// through the registry: each family reclaims dead chains and keeps its
+    /// through the dispatch: each family reclaims dead chains and keeps its
     /// record high-water mark below the generated count, where an append-only
     /// store keeps at least one record per generated state, without moving
     /// the optimum.
     #[test]
     fn arena_gc_knob_flows_through() {
         let problem = example_problem();
-        let reg = SchedulerRegistry::builtin();
+        let spec = SchedulerSpec::default();
         for name in ["astar", "parallel"] {
-            let report = reg.get(name).unwrap().run(&problem);
+            let report = spec.run(name, &problem).unwrap();
             let stats = &report.result.stats;
             assert_eq!(report.result.schedule_length, 14, "{name}");
             assert!(stats.reclaimed_records > 0, "{name}: the arena must reclaim");
@@ -440,32 +326,30 @@ mod tests {
             limits: SearchLimits::expansions(1),
             ..SchedulerSpec::default()
         };
-        let reg = SchedulerRegistry::with_spec(spec);
         for name in ["astar", "wastar", "exhaustive"] {
-            let report = reg.get(name).unwrap().run(&problem);
+            let report = spec.run(name, &problem).unwrap();
             assert_eq!(report.result.outcome, SearchOutcome::LimitReached, "{name}");
         }
     }
 
-    /// The `wastar` entry reads the spec's weight (visible in its banner and
+    /// The `wastar` family reads the spec's weight (visible in its banner and
     /// in the `w x optimal` bound) and the seeded-incumbent knob reaches the
     /// serial families without changing their optima.
     #[test]
     fn weight_and_seed_knobs_flow_through() {
         let problem = example_problem();
         let spec = SchedulerSpec { weight: 2.0, seed_incumbent: true, ..SchedulerSpec::default() };
-        let reg = SchedulerRegistry::with_spec(spec);
-        assert!(reg.get("wastar").unwrap().description().contains("w = 2"));
-        let w = reg.get("wastar").unwrap().run(&problem);
+        assert!(spec.describe("wastar").unwrap().contains("w = 2"));
+        let w = spec.run("wastar", &problem).unwrap();
         assert!(w.result.schedule_length <= 28, "2 x optimal bound");
         w.result.schedule.as_ref().unwrap().validate(problem.graph(), problem.network()).unwrap();
         for name in ["astar", "chenyu"] {
-            let seeded = reg.get(name).unwrap().run(&problem);
+            let seeded = spec.run(name, &problem).unwrap();
             assert!(seeded.result.is_optimal(), "{name}");
             assert_eq!(seeded.result.schedule_length, 14, "{name}");
             // Strict pruning against the attained list incumbent can only
             // shrink the search.
-            let plain = SchedulerRegistry::builtin().get(name).unwrap().run(&problem);
+            let plain = SchedulerSpec::default().run(name, &problem).unwrap();
             assert!(
                 seeded.result.stats.expanded <= plain.result.stats.expanded,
                 "{name}: seeded {} vs plain {}",

@@ -3,8 +3,8 @@
 //! exhaustive enumeration, and the parallel A* in both duplicate-detection
 //! modes with q ∈ {1, 2} — must return the same optimal makespan on a
 //! deterministic corpus of small random and structured instances, and every
-//! returned schedule must be feasible.  All families are dispatched through
-//! the facade's scheduler registry.
+//! returned schedule must be feasible.  All families are dispatched by name
+//! through the facade's `SchedulerSpec::run`.
 //!
 //! The corpus stays at ≤ 10 nodes (seeds chosen with the PR 1 probe pattern
 //! for the vendored RNG stream) so the exponential searches remain fast on
@@ -47,16 +47,15 @@ fn corpus() -> Vec<(String, TaskGraph, ProcNetwork)> {
 
 /// The headline conformance assertion: five scheduler families, one optimum.
 /// Every family is dispatched by name through the facade's
-/// [`SchedulerRegistry`] — the same path the CLI and the experiment binaries
-/// use — instead of hand-matching scheduler types.
+/// [`SchedulerSpec::run`] — the same path the CLI, the service and the
+/// experiment binaries use — instead of hand-matching scheduler types.
 #[test]
 fn all_schedulers_agree_on_the_optimal_makespan() {
     for (name, graph, net) in corpus() {
         let problem = SchedulingProblem::new(graph.clone(), net.clone());
 
         // Serial A* at the defaults is the reference.
-        let astar =
-            SchedulerRegistry::builtin().get("astar").expect("registered").run(&problem).result;
+        let astar = SchedulerSpec::default().run("astar", &problem).expect("astar").result;
         assert!(astar.is_optimal(), "{name}: A* must prove optimality");
         let optimum = astar.schedule_length;
 
@@ -64,13 +63,12 @@ fn all_schedulers_agree_on_the_optimal_makespan() {
         // the optimum by brute force on the smallest instances (it is itself
         // exponential, so it is skipped above 7 nodes).
         let spec = SchedulerSpec { epsilon: 0.0, ..Default::default() };
-        let registry = SchedulerRegistry::with_spec(spec);
         let mut families = vec!["astar", "aeps", "chenyu"];
         if graph.num_nodes() <= 7 {
             families.push("exhaustive");
         }
         for family in families {
-            let r = registry.get(family).expect("registered").run(&problem).result;
+            let r = spec.run(family, &problem).expect(family).result;
             assert!(r.is_optimal(), "{name}: {family}");
             assert_eq!(r.schedule_length, optimum, "{name}: {family}");
             r.expect_schedule().validate(&graph, &net).unwrap();
@@ -84,11 +82,7 @@ fn all_schedulers_agree_on_the_optimal_makespan() {
                     ..Default::default()
                 };
                 let ctx = format!("{name}: parallel q={q} mode={mode}");
-                let r = SchedulerRegistry::with_spec(spec)
-                    .get("parallel")
-                    .expect("registered")
-                    .run(&problem)
-                    .result;
+                let r = spec.run("parallel", &problem).expect("parallel").result;
                 assert!(r.is_optimal(), "{ctx}");
                 assert_eq!(r.schedule_length, optimum, "{ctx}");
                 r.expect_schedule().validate(&graph, &net).unwrap();
@@ -114,7 +108,7 @@ fn all_schedulers_agree_on_the_optimal_makespan() {
 }
 
 /// Weighted-A* conformance over the whole corpus: at weight 1.0 the `wastar`
-/// entry *is* A* — same optimum and bit-identical expansion/generation
+/// family *is* A* — same optimum and bit-identical expansion/generation
 /// counts — and at larger weights every schedule stays within `w × optimum`
 /// while remaining feasible.  (The service relies on both halves: weight-1
 /// requests are exact, and deadline-pressure weights keep their bound.)
@@ -127,8 +121,7 @@ fn wastar_at_weight_one_agrees_with_astar_and_respects_its_bound_above() {
         let optimum = astar.schedule_length;
 
         let spec = SchedulerSpec { weight: 1.0, ..Default::default() };
-        let exact =
-            SchedulerRegistry::with_spec(spec).get("wastar").expect("registered").run(&problem);
+        let exact = spec.run("wastar", &problem).expect("wastar");
         assert!(exact.result.is_optimal(), "{name}: wastar(1.0)");
         assert_eq!(exact.result.schedule_length, optimum, "{name}: wastar(1.0)");
         assert_eq!(
@@ -140,11 +133,7 @@ fn wastar_at_weight_one_agrees_with_astar_and_respects_its_bound_above() {
 
         for weight in [1.5, 2.0] {
             let spec = SchedulerSpec { weight, ..Default::default() };
-            let r = SchedulerRegistry::with_spec(spec)
-                .get("wastar")
-                .expect("registered")
-                .run(&problem)
-                .result;
+            let r = spec.run("wastar", &problem).expect("wastar").result;
             let bound = ((optimum as f64) * weight).floor() as Cost;
             assert!(
                 r.schedule_length >= optimum && r.schedule_length <= bound,
