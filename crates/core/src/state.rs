@@ -7,6 +7,9 @@
 //! a complete schedule.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 use optsched_procnet::ProcId;
 use optsched_schedule::Schedule;
@@ -26,30 +29,238 @@ const UNASSIGNED: u16 = u16::MAX;
 /// processors with the same start times, hence have identical `g`, `h` and
 /// future expansions; only one needs to be kept.
 ///
-/// The representation packs, for every node, the pair `(processor, start
-/// time)` into one 64-bit word (`u64::MAX` marks an unscheduled node), so a
-/// signature is a single allocation and hashes quickly even for large graphs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct StateSignature(Box<[u64]>);
+/// This type owns the key format and its hash.  A key holds one entry per
+/// node, `(processor + 1, start)` packed into the narrowest of three forms
+/// that holds every scheduled node (all-zero marks an unscheduled node):
+///
+/// * **short**: one `u16` per node, processor + 1 in the top 4 bits and the
+///   start in the low 12, for processors below 15 and starts below 4096:
+///   24 B at v = 12, held inline (no allocation) up to 16 nodes;
+/// * **narrow**: one `u32` per node, 8 and 24 bits, for processors below 255
+///   and starts below 2^24: 48 B at v = 12;
+/// * **wide**: two `u64` per node, exact for every processor and start time.
+///
+/// The form follows from the assignments alone, never from an option, so
+/// equal partial schedules always have equal forms and equal words.
+///
+/// The hash is the wrapping sum, over the scheduled nodes, of a keyed mix of
+/// `(node, processor, start)`: an additive Zobrist hash (Zobrist 1970).
+/// [`StateSignature::with_assignment`] updates it in O(1), and it does not
+/// depend on the form.  It is computed once per key; [`Hash`] writes it as a
+/// single word, and the duplicate-detection tables read it through
+/// [`StateSignature::key_hash`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StateSignature {
+    hash: u64,
+    words: KeyWords,
+}
+
+/// The packed words of a [`StateSignature`] (see its documentation).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum KeyWords {
+    Short(ShortWords),
+    Narrow(Box<[u32]>),
+    Wide(Box<[[u64; 2]]>),
+}
+
+/// Short keys of up to this many nodes live inside the signature.
+const INLINE_NODES: usize = 16;
+
+/// The short form's words: inline up to [`INLINE_NODES`] nodes, else boxed.
+/// Which one depends only on the node count, so keys of one problem always
+/// agree, and the unused inline tail stays zero.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum ShortWords {
+    Inline { len: u8, words: [u16; INLINE_NODES] },
+    Boxed(Box<[u16]>),
+}
+
+impl ShortWords {
+    fn zeroed(num_nodes: usize) -> ShortWords {
+        match u8::try_from(num_nodes) {
+            Ok(len) if num_nodes <= INLINE_NODES => {
+                ShortWords::Inline { len, words: [0; INLINE_NODES] }
+            }
+            _ => ShortWords::Boxed(vec![0; num_nodes].into_boxed_slice()),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[u16] {
+        match self {
+            ShortWords::Inline { len, words } => &words[..usize::from(*len)],
+            ShortWords::Boxed(words) => words,
+        }
+    }
+
+    #[inline]
+    fn as_mut_slice(&mut self) -> &mut [u16] {
+        match self {
+            ShortWords::Inline { len, words } => &mut words[..usize::from(*len)],
+            ShortWords::Boxed(words) => words,
+        }
+    }
+}
+
+/// One node's entry in a key form.
+trait KeyWord: Copy {
+    /// Packs processor + 1 (0 for an unscheduled node) and the start, if
+    /// they fit this form.
+    fn pack(tagged_proc: u64, start: Cost) -> Option<Self>;
+    /// The `(processor + 1, start)` this entry holds.
+    fn unpack(self) -> (u64, Cost);
+}
+
+macro_rules! packed_key_word {
+    ($word:ty, $start_bits:expr) => {
+        impl KeyWord for $word {
+            #[inline]
+            fn pack(tagged_proc: u64, start: Cost) -> Option<$word> {
+                const PROC_LIMIT: u64 = 1 << (<$word>::BITS - $start_bits);
+                (tagged_proc < PROC_LIMIT && start < 1 << $start_bits)
+                    .then_some(((tagged_proc << $start_bits) | start) as $word)
+            }
+
+            #[inline]
+            fn unpack(self) -> (u64, Cost) {
+                (u64::from(self >> $start_bits), u64::from(self & ((1 << $start_bits) - 1)))
+            }
+        }
+    };
+}
+
+packed_key_word!(u16, 12);
+packed_key_word!(u32, 24);
+
+impl KeyWord for [u64; 2] {
+    #[inline]
+    fn pack(tagged_proc: u64, start: Cost) -> Option<[u64; 2]> {
+        Some([tagged_proc, start])
+    }
+
+    #[inline]
+    fn unpack(self) -> (u64, Cost) {
+        (self[0], self[1])
+    }
+}
+
+/// Re-encodes the entries of one form in a wider one.
+fn repack<F: KeyWord, T: KeyWord>(words: &[F]) -> Box<[T]> {
+    words
+        .iter()
+        .map(|w| {
+            let (tagged_proc, start) = w.unpack();
+            T::pack(tagged_proc, start).expect("a wider form holds every entry of a narrower one")
+        })
+        .collect()
+}
+
+impl std::hash::Hash for StateSignature {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// splitmix64's finalizer: a bijection with full avalanche.
+#[inline]
+fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// A random key drawn once per process.  Start times follow from the weights
+/// of an instance that may come from outside the program, so the key hash is
+/// keyed, like std's `RandomState`: nobody can craft states that pile onto
+/// one index slot.  Nothing the search does depends on hash values.
+fn process_hash_key() -> u64 {
+    static KEY: OnceLock<u64> = OnceLock::new();
+    *KEY.get_or_init(|| RandomState::new().build_hasher().finish())
+}
+
+/// One scheduled node's term of the additive key hash.
+#[inline]
+fn assignment_hash(node: usize, proc: u32, start: Cost) -> u64 {
+    let placement = ((node as u64) << 32) | u64::from(proc);
+    mix64(mix64(placement ^ process_hash_key()) ^ start)
+}
 
 impl StateSignature {
-    /// Packs one `(processor, start time)` assignment into a signature word.
-    #[inline]
-    fn pack(proc: u64, start: Cost) -> u64 {
-        debug_assert!(start < (1 << 48), "start time exceeds the packed range");
-        (proc << 48) | start
+    /// The key of the empty partial schedule over `num_nodes` nodes.
+    fn empty(num_nodes: usize) -> StateSignature {
+        StateSignature { hash: 0, words: KeyWords::Short(ShortWords::zeroed(num_nodes)) }
+    }
+
+    /// Schedules the unscheduled `node` on `proc` at `start`, moving the key
+    /// to a wider form, one step at a time, until the assignment fits.
+    fn assign(&mut self, node: usize, proc: u32, start: Cost) {
+        debug_assert!(!self.is_assigned(node), "node already scheduled in the parent");
+        self.hash = self.hash.wrapping_add(assignment_hash(node, proc, start));
+        let tagged = u64::from(proc) + 1;
+        loop {
+            let widened = match &mut self.words {
+                KeyWords::Short(words) => match u16::pack(tagged, start) {
+                    Some(word) => {
+                        words.as_mut_slice()[node] = word;
+                        return;
+                    }
+                    None => KeyWords::Narrow(repack(words.as_slice())),
+                },
+                KeyWords::Narrow(words) => match u32::pack(tagged, start) {
+                    Some(word) => {
+                        words[node] = word;
+                        return;
+                    }
+                    None => KeyWords::Wide(repack(words)),
+                },
+                KeyWords::Wide(words) => {
+                    words[node] = [tagged, start];
+                    return;
+                }
+            };
+            self.words = widened;
+        }
+    }
+
+    fn is_assigned(&self, node: usize) -> bool {
+        let tagged = match &self.words {
+            KeyWords::Short(words) => words.as_slice()[node].unpack().0,
+            KeyWords::Narrow(words) => words[node].unpack().0,
+            KeyWords::Wide(words) => words[node].unpack().0,
+        };
+        tagged != 0
     }
 
     /// The signature of the child obtained from this (parent) signature by
     /// additionally scheduling `node` on `proc` at `start`.
     ///
     /// Equivalent to materialising the child and calling
-    /// [`SearchState::signature`], at the cost of one word-slice clone.
+    /// [`SearchState::signature`], at the cost of one copy of the words (no
+    /// allocation for a short key of up to 16 nodes); the hash is updated in
+    /// O(1).
     pub fn with_assignment(&self, node: NodeId, proc: ProcId, start: Cost) -> StateSignature {
-        let mut words = self.0.clone();
-        debug_assert_eq!(words[node.index()], u64::MAX, "node already scheduled in the parent");
-        words[node.index()] = StateSignature::pack(proc.index() as u64, start);
-        StateSignature(words)
+        let mut child = self.clone();
+        child.assign(node.index(), proc.0, start);
+        child
+    }
+
+    /// The key's 64-bit hash, computed once when the key was built.
+    #[inline]
+    pub fn key_hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// The packed words, for the seen-set's row store.
+    #[inline]
+    pub(crate) fn words(&self) -> &KeyWords {
+        &self.words
+    }
+
+    /// True when the key is in the wide form (two `u64` per node).
+    pub fn is_wide(&self) -> bool {
+        matches!(self.words, KeyWords::Wide(_))
     }
 }
 
@@ -397,16 +608,11 @@ impl SearchState {
 
     /// The exact signature of this partial schedule (for duplicate detection).
     pub fn signature(&self) -> StateSignature {
-        let words: Vec<u64> = (0..self.proc_of.len())
-            .map(|i| {
-                if self.scheduled.contains(i) {
-                    StateSignature::pack(u64::from(self.proc_of[i]), self.start[i])
-                } else {
-                    u64::MAX
-                }
-            })
-            .collect();
-        StateSignature(words.into_boxed_slice())
+        let mut sig = StateSignature::empty(self.proc_of.len());
+        for i in (0..self.proc_of.len()).filter(|&i| self.scheduled.contains(i)) {
+            sig.assign(i, u32::from(self.proc_of[i]), self.start[i]);
+        }
+        sig
     }
 
     /// Enumerates the `(ready node, processor)` pairs the expansion operator
@@ -632,6 +838,81 @@ mod tests {
             .schedule_node(&prob, NodeId(1), ProcId(1), h)
             .schedule_node(&prob, NodeId(3), ProcId(1), h);
         assert_ne!(a.signature(), c.signature());
+    }
+
+    /// A start or processor past a form's range moves the key to a wider
+    /// form, ending in the exact wide one, so no two placements alias,
+    /// however large the start.
+    #[test]
+    fn keys_stay_exact_past_the_narrow_range() {
+        let prob = example_problem();
+        let base = SearchState::initial(&prob).signature();
+        let n = NodeId(0);
+        let far = base.with_assignment(n, ProcId(0), 1 << 48);
+        let near = base.with_assignment(n, ProcId(1), 0);
+        assert_ne!(far, near);
+        assert!(far.is_wide() && !near.is_wide());
+        let top = base.with_assignment(n, ProcId(0), Cost::MAX);
+        assert_ne!(top, base.with_assignment(n, ProcId(0), Cost::MAX - 1));
+        for (start, proc) in [(1 << 12, 14), (1 << 24, 254)] {
+            let past_start = base.with_assignment(n, ProcId(0), start);
+            assert_ne!(past_start, base.with_assignment(n, ProcId(1), 0), "start {start}");
+            let past_proc = base.with_assignment(n, ProcId(proc + 1), 0);
+            assert_ne!(past_proc, base, "processor {}", proc + 1);
+            assert_ne!(past_proc, base.with_assignment(n, ProcId(proc), 0));
+        }
+        assert!(!base.with_assignment(n, ProcId(254), (1 << 24) - 1).is_wide());
+        assert!(base.with_assignment(n, ProcId(255), 0).is_wide());
+    }
+
+    /// Past 16 nodes a short key boxes its words: it widens and compares
+    /// like an inline one.
+    #[test]
+    fn long_short_keys_compare_by_content() {
+        let mut b = optsched_taskgraph::GraphBuilder::new();
+        let nodes: Vec<NodeId> = (0..20).map(|_| b.add_node(5)).collect();
+        let prob = SchedulingProblem::new(b.build().unwrap(), ProcNetwork::fully_connected(2));
+        let h = HeuristicKind::PaperStaticLevel;
+        let s0 = SearchState::initial(&prob);
+        let ab = s0.schedule_node(&prob, nodes[0], ProcId(0), h).schedule_node(&prob, nodes[19], ProcId(1), h);
+        let ba = s0.schedule_node(&prob, nodes[19], ProcId(1), h).schedule_node(&prob, nodes[0], ProcId(0), h);
+        assert_eq!(ab.signature(), ba.signature());
+        let base = s0.signature();
+        let incremental = base.with_assignment(nodes[0], ProcId(0), 0).with_assignment(nodes[19], ProcId(1), 0);
+        assert_eq!(incremental, ab.signature());
+        assert_ne!(incremental, base.with_assignment(nodes[0], ProcId(0), 0));
+        let widened = incremental.with_assignment(nodes[7], ProcId(0), 1 << 40);
+        assert!(widened.is_wide());
+        assert_ne!(widened, incremental.with_assignment(nodes[7], ProcId(0), 0));
+    }
+
+    /// Heavy weights push start times past the narrow range mid-search: the
+    /// key widens, keeps its hash, and equals the materialised state's key
+    /// whichever order built the same partial schedule.
+    #[test]
+    fn wide_keys_agree_across_construction_routes() {
+        let mut b = optsched_taskgraph::GraphBuilder::new();
+        let heavy = b.add_node(1 << 30);
+        let after = b.add_node(3);
+        let light = b.add_node(2);
+        b.add_edge(heavy, after, 1).unwrap();
+        let prob = SchedulingProblem::new(b.build().unwrap(), ProcNetwork::fully_connected(2));
+        let h = HeuristicKind::PaperStaticLevel;
+        let (p0, p1) = (ProcId(0), ProcId(1));
+        let s0 = SearchState::initial(&prob);
+        let heavy_first = s0.schedule_node(&prob, heavy, p0, h).schedule_node(&prob, light, p1, h);
+        let light_first = s0.schedule_node(&prob, light, p1, h).schedule_node(&prob, heavy, p0, h);
+        assert!(!heavy_first.signature().is_wide());
+        assert_eq!(heavy_first.signature(), light_first.signature());
+        for parent in [&heavy_first, &light_first] {
+            let delta = parent.peek_child(&prob, after, p0, h);
+            assert_eq!(delta.start, 1 << 30);
+            let incremental = parent.signature().with_assignment(after, p0, delta.start);
+            let child = parent.apply_delta(&prob, &delta).signature();
+            assert!(incremental.is_wide());
+            assert_eq!(incremental, child);
+            assert_eq!(incremental.key_hash(), child.key_hash());
+        }
     }
 
     #[test]

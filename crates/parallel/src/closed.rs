@@ -17,11 +17,12 @@
 //! signature on a strictly better claim as a defensive measure.
 //!
 //! Each shard is a chaining hash table of atomic bucket heads over immutable
-//! push-front nodes.  A claim hashes its signature, walks its bucket's chain
-//! (a fingerprint word short-circuits mismatched nodes; a match is always
-//! decided by full signature equality) and, if absent, publishes a heap node
-//! with one compare-and-swap on the head; a loser re-walks only the prefix
-//! its race inserted and retries.  Nodes are never removed or moved, so no
+//! push-front nodes.  A claim reads the hash its signature carries
+//! ([`StateSignature::key_hash`], computed once when the key was built), walks
+//! its bucket's chain (a fingerprint word short-circuits mismatched nodes; a
+//! match is always decided by full signature equality) and, if absent,
+//! publishes a heap node with one compare-and-swap on the head; a loser
+//! re-walks only the prefix its race inserted and retries.  Nodes are never removed or moved, so no
 //! locks, no spinning and no ABA; growth is a non-event — the load factor
 //! rises and chains lengthen gracefully (~`entries / 2^20` nodes per walk)
 //! instead of migrating or probing saturated windows.  Every shard keeps
@@ -32,8 +33,6 @@
 //! consulting the table (the claim is still "alive", merely held elsewhere),
 //! so a claimed state is never dropped by all PPEs at once.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
@@ -118,10 +117,16 @@ const TOTAL_BUCKET_BUDGET: usize = 1 << 20;
 /// per-shard tables.
 const MIN_BUCKETS_PER_SHARD: usize = 1 << 10;
 
+/// A signature's shard comes from its hash bits at and above this one, its
+/// bucket from the low bits.  At most 1024 shards (10 bits) and 2^20 buckets
+/// per shard (20 bits) keep the two choices on disjoint bits.
+const SHARD_SHIFT: u32 = 40;
+
 /// One published claim of the atomic store: an immutable chain node (except
 /// for the defensive better-`g` reopen fields).  The full signature is kept
 /// so a match is always decided by signature equality, never by the
-/// fingerprint.
+/// fingerprint; a short key of up to 16 nodes holds its words inline, so
+/// the node is the claim's only allocation.
 struct ClaimNode {
     /// Fingerprint of the signature hash; checked before the signature so
     /// walking over a mismatched node costs one word comparison, not a slice
@@ -186,7 +191,7 @@ impl AtomicStore {
     }
 
     fn try_claim(&self, sig: StateSignature, g: Cost, owner: u32) -> ClaimKind {
-        let h = slot_hash(&sig);
+        let h = sig.key_hash();
         let fp = h | 1;
         let bucket = &self.buckets[(h as usize) & self.mask];
         let mut head = bucket.load(Ordering::Acquire);
@@ -225,7 +230,7 @@ impl AtomicStore {
     }
 
     fn find(&self, sig: &StateSignature) -> bool {
-        let h = slot_hash(sig);
+        let h = sig.key_hash();
         let head = self.buckets[(h as usize) & self.mask].load(Ordering::Acquire);
         AtomicStore::walk(head, ptr::null_mut(), h | 1, sig).is_some()
     }
@@ -276,28 +281,6 @@ fn resolve_occupied(entry: &ClaimNode, g: Cost, owner: u32) -> ClaimKind {
         }
     }
     ClaimKind::Duplicate { owner: entry.owner.load(Ordering::Acquire) }
-}
-
-/// Within-shard slot hash: the shard index consumes the low bits of the
-/// signature hash, so the slot hash remixes the full word to keep bucket
-/// indices independent of shard selection.  A bare odd-constant multiply is
-/// NOT enough here: it maps a fixed-low-bits residue class onto a stride
-/// lattice, leaving only `buckets / num_shards` of each shard's buckets
-/// reachable — the xor-shift finalizer (splitmix64's) restores full
-/// avalanche into the low bits the bucket mask reads.
-fn slot_hash(sig: &StateSignature) -> u64 {
-    let mut x = sig_hash(sig);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn sig_hash(sig: &StateSignature) -> u64 {
-    let mut h = DefaultHasher::new();
-    sig.hash(&mut h);
-    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -420,7 +403,7 @@ impl ShardedClosedTable {
     }
 
     fn shard_of(&self, sig: &StateSignature) -> &Shard {
-        &self.shards[(sig_hash(sig) as usize) & self.mask]
+        &self.shards[(sig.key_hash() >> SHARD_SHIFT) as usize & self.mask]
     }
 
     /// Attempts to claim `sig` with cost `g` on behalf of PPE `owner`.
@@ -467,16 +450,25 @@ impl ShardedClosedTable {
     }
 
     /// Snapshot of the per-shard counters.
+    ///
+    /// Every entry began as a miss and none is ever removed, so a shard's
+    /// entry count is its miss counter; no bucket is walked.  Debug builds
+    /// still count the chain nodes and check the two agree, so call this
+    /// only once no claim is in flight.
     pub fn stats(&self) -> ClosedTableStats {
         ClosedTableStats {
             per_shard: self
                 .shards
                 .iter()
-                .map(|s| ShardCounters {
-                    entries: s.store.len(),
-                    hits: s.hits.load(Ordering::Relaxed),
-                    misses: s.misses.load(Ordering::Relaxed),
-                    reopens: s.reopens.load(Ordering::Relaxed),
+                .map(|s| {
+                    let misses = s.misses.load(Ordering::Relaxed);
+                    debug_assert_eq!(s.store.len() as u64, misses, "entries == misses");
+                    ShardCounters {
+                        entries: misses as usize,
+                        hits: s.hits.load(Ordering::Relaxed),
+                        misses,
+                        reopens: s.reopens.load(Ordering::Relaxed),
+                    }
                 })
                 .collect(),
         }

@@ -208,7 +208,7 @@ struct Transfer {
 /// other PPEs go through [`DupFilter::admit_transfer`], which preserves the
 /// claim-ownership semantics of the sharded table.
 enum DupFilter<'t> {
-    Local(SignatureSet),
+    Local(Box<SignatureSet>),
     Global { table: &'t ShardedClosedTable, id: usize },
 }
 
@@ -565,7 +565,7 @@ fn ppe_worker(
     arena.insert_root(SearchState::initial(problem));
     let mut dup = match &shared.closed {
         Some(table) => DupFilter::Global { table, id },
-        None => DupFilter::Local(SignatureSet::new()),
+        None => DupFilter::Local(Box::default()),
     };
     let mut counter: u64 = 0;
 

@@ -754,3 +754,91 @@ proptest! {
         prop_assert_eq!(a.expired, 0);
     }
 }
+
+/// A random key over the paper example's six nodes: one to three
+/// assignments on processors 0–2, starts below 200, which is the short
+/// form.  With `wide`, about half the keys take an assignment past the
+/// short range (a start from 2^12 up, or a processor from 15 up), and about
+/// half of those are past the narrow range too, which is the wide form.
+fn random_seen_key(
+    base: &optsched::core::state::StateSignature,
+    rng: &mut StdRng,
+    wide: bool,
+) -> optsched::core::state::StateSignature {
+    use rand::Rng;
+    let mut key = base.clone();
+    let mut nodes: Vec<u32> = (0..6).collect();
+    for _ in 0..rng.gen_range(1..=3usize) {
+        let node = nodes.swap_remove(rng.gen_range(0..nodes.len()));
+        let (mut proc, mut start) = (rng.gen_range(0..3u32), rng.gen_range(0..200u64));
+        if wide && rng.gen_bool(0.25) {
+            if rng.gen_bool(0.5) {
+                start += 1 << rng.gen_range(12..=62u32);
+            } else {
+                proc += rng.gen_range(15..=300u32);
+            }
+        }
+        key = key.with_assignment(NodeId(node), ProcId(proc), start);
+    }
+    key
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// The flat seen-set against a `HashSet<StateSignature>` model: random
+    /// admit and remove sequences give the same return values, `len()` and
+    /// duplicate counter.  A sequence admits a few thousand distinct keys,
+    /// enough to grow every index part several times, and its second half
+    /// mixes in narrow and wide keys.  Each sequence runs on the paper's
+    /// six-node example and again on a 20-node problem, whose short keys
+    /// are too long to be held inline.
+    #[test]
+    fn signature_set_matches_a_hash_set_model(seed in any::<u64>()) {
+        use optsched::core::engine::{DuplicateFilter, SignatureSet};
+        use optsched::core::SearchState;
+        use rand::Rng;
+        use std::collections::HashSet;
+
+        const OPS: usize = 6000;
+        let mut twenty = GraphBuilder::new();
+        for _ in 0..20 {
+            twenty.add_node(1);
+        }
+        for graph in [paper_example_dag(), twenty.build().unwrap()] {
+            let problem = SchedulingProblem::new(graph, ProcNetwork::ring(3));
+            let base = SearchState::initial(&problem).signature();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut set = SignatureSet::new();
+            let mut model = HashSet::new();
+            let mut stats = SearchStats::default();
+            let mut model_duplicates = 0u64;
+            let mut drawn = Vec::new();
+            let mut peak = 0;
+            for i in 0..OPS {
+                let roll = rng.gen_range(0..10u32);
+                if roll < 2 && !drawn.is_empty() {
+                    let key = &drawn[rng.gen_range(0..drawn.len())];
+                    prop_assert_eq!(set.remove(key), model.remove(key), "remove at op {}", i);
+                } else {
+                    let key = if roll < 4 && !drawn.is_empty() {
+                        drawn[rng.gen_range(0..drawn.len())].clone()
+                    } else {
+                        let key = random_seen_key(&base, &mut rng, i >= OPS / 2);
+                        drawn.push(key.clone());
+                        key
+                    };
+                    let fresh = model.insert(key.clone());
+                    model_duplicates += u64::from(!fresh);
+                    prop_assert_eq!(set.admit(key, 0, &mut stats), fresh, "admit at op {}", i);
+                }
+                prop_assert_eq!(set.len(), model.len());
+                prop_assert_eq!(stats.duplicates, model_duplicates);
+                peak = peak.max(set.len());
+            }
+            prop_assert!(drawn[..OPS / 4].iter().all(|k| !k.is_wide()));
+            prop_assert!(drawn.iter().filter(|k| k.is_wide()).count() > 200);
+            prop_assert!(peak > 2500, "the set peaked at {} keys", peak);
+        }
+    }
+}
