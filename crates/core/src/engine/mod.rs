@@ -115,11 +115,11 @@ pub fn expand_state<D: DuplicateFilter>(
 /// Expansions between wall-clock reads when enforcing
 /// [`SearchLimits::max_millis`].  A read is not a syscall where the clock
 /// is served from user space: `Instant::now()` is a vDSO read of about
-/// 45–50 ns on x86-64 Linux with the `tsc` clocksource, against 7–15 µs per
-/// expansion.  The cadence, not the read's cost, bounds the overshoot: 1024
-/// expansions are 8–15 ms between reads at those rates, which is noise
-/// against a budget of seconds but not against a 40 ms deadline.  Budgets
-/// at or below [`TIME_CHECK_ALWAYS_BELOW_MS`] read the clock every time.
+/// 45–50 ns on x86-64 Linux with the `tsc` clocksource.  The cadence, not
+/// the read's cost, bounds the overshoot: one stretch of 1024 expansions is
+/// noise against a budget of seconds but not against a 40 ms deadline.
+/// Budgets at or below [`TIME_CHECK_ALWAYS_BELOW_MS`] read the clock every
+/// time.
 const TIME_CHECK_CADENCE: u64 = 1024;
 
 /// Budgets at or below this many milliseconds check the clock on *every*

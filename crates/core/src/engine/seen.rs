@@ -17,8 +17,9 @@
 //!   1/64 of the set, and it reads only the entries: a slot's position
 //!   comes from its stored tag, so no row is touched or rehashed.
 //!
-//! Each key form (see [`StateSignature`]) has its own store; a key's form
-//! follows from its content, so equal keys always meet in the same store.
+//! Each of the two key forms (see [`StateSignature`]) has its own store; a
+//! key's form follows from its content, so equal keys always meet in the
+//! same store.
 //! At v = 12 a short key costs 24 bytes of row plus about 15 bytes of index
 //! (an 8-byte entry at a load between 3/8 and 3/4).
 
@@ -45,7 +46,6 @@ const MIN_PART_SLOTS: usize = 8;
 #[derive(Default)]
 pub struct SignatureSet {
     short: KeyStore<u16>,
-    narrow: KeyStore<u32>,
     wide: KeyStore<[u64; 2]>,
 }
 
@@ -63,7 +63,7 @@ impl SignatureSet {
 
     /// Number of distinct signatures seen.
     pub fn len(&self) -> usize {
-        self.short.len + self.narrow.len + self.wide.len
+        self.short.len + self.wide.len
     }
 
     /// True if no signature has been admitted yet.
@@ -76,7 +76,6 @@ impl SignatureSet {
     pub fn remove(&mut self, sig: &StateSignature) -> bool {
         match sig.words() {
             KeyWords::Short(words) => self.short.remove(sig.key_hash(), words.as_slice()),
-            KeyWords::Narrow(words) => self.narrow.remove(sig.key_hash(), words),
             KeyWords::Wide(words) => self.wide.remove(sig.key_hash(), words),
         }
     }
@@ -86,7 +85,6 @@ impl DuplicateFilter for SignatureSet {
     fn admit(&mut self, sig: StateSignature, _g: Cost, stats: &mut SearchStats) -> bool {
         let fresh = match sig.words() {
             KeyWords::Short(words) => self.short.insert(sig.key_hash(), words.as_slice()),
-            KeyWords::Narrow(words) => self.narrow.insert(sig.key_hash(), words),
             KeyWords::Wide(words) => self.wide.insert(sig.key_hash(), words),
         };
         if !fresh {
@@ -319,7 +317,8 @@ mod tests {
             .collect()
     }
 
-    /// Keys that differ only past the narrow range stay distinct.
+    /// Start 2^48 on processor 0 and start 0 on processor 1 are two keys
+    /// (a 48-bit start field would alias them).
     #[test]
     fn wide_keys_with_equal_low_bits_are_distinct() {
         let base = base();

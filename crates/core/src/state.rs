@@ -30,15 +30,15 @@ const UNASSIGNED: u16 = u16::MAX;
 /// future expansions; only one needs to be kept.
 ///
 /// This type owns the key format and its hash.  A key holds one entry per
-/// node, `(processor + 1, start)` packed into the narrowest of three forms
-/// that holds every scheduled node (all-zero marks an unscheduled node):
+/// node, `(processor + 1, start)`, in one of two forms (all-zero marks an
+/// unscheduled node):
 ///
-/// * **short**: one `u16` per node, processor + 1 in the top 4 bits and the
-///   start in the low 12, for processors below 15 and starts below 4096:
-///   24 B at v = 12, held inline (no allocation) up to 16 nodes;
-/// * **narrow**: one `u32` per node, 8 and 24 bits, for processors below 255
-///   and starts below 2^24: 48 B at v = 12;
-/// * **wide**: two `u64` per node, exact for every processor and start time.
+/// * **short**, while every scheduled node fits: one `u16` per node,
+///   processor + 1 in the top 4 bits and the start in the low 12, for
+///   processors below 15 and starts below 4096: 24 B at v = 12, held inline
+///   (no allocation) up to 16 nodes;
+/// * **wide** otherwise: two `u64` per node, exact for every processor and
+///   start time.
 ///
 /// The form follows from the assignments alone, never from an option, so
 /// equal partial schedules always have equal forms and equal words.
@@ -59,7 +59,6 @@ pub struct StateSignature {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum KeyWords {
     Short(ShortWords),
-    Narrow(Box<[u32]>),
     Wide(Box<[[u64; 2]]>),
 }
 
@@ -102,56 +101,22 @@ impl ShortWords {
     }
 }
 
-/// One node's entry in a key form.
-trait KeyWord: Copy {
-    /// Packs processor + 1 (0 for an unscheduled node) and the start, if
-    /// they fit this form.
-    fn pack(tagged_proc: u64, start: Cost) -> Option<Self>;
-    /// The `(processor + 1, start)` this entry holds.
-    fn unpack(self) -> (u64, Cost);
+/// Bits of a short entry that hold the start; the 4 above hold processor + 1.
+const SHORT_START_BITS: u32 = 12;
+
+/// Packs processor + 1 (0 for an unscheduled node) and the start into a
+/// short entry, if they fit.
+#[inline]
+fn pack_short(tagged_proc: u64, start: Cost) -> Option<u16> {
+    (tagged_proc < 1 << (u16::BITS - SHORT_START_BITS) && start < 1 << SHORT_START_BITS)
+        .then_some(((tagged_proc << SHORT_START_BITS) | start) as u16)
 }
 
-macro_rules! packed_key_word {
-    ($word:ty, $start_bits:expr) => {
-        impl KeyWord for $word {
-            #[inline]
-            fn pack(tagged_proc: u64, start: Cost) -> Option<$word> {
-                const PROC_LIMIT: u64 = 1 << (<$word>::BITS - $start_bits);
-                (tagged_proc < PROC_LIMIT && start < 1 << $start_bits)
-                    .then_some(((tagged_proc << $start_bits) | start) as $word)
-            }
-
-            #[inline]
-            fn unpack(self) -> (u64, Cost) {
-                (u64::from(self >> $start_bits), u64::from(self & ((1 << $start_bits) - 1)))
-            }
-        }
-    };
-}
-
-packed_key_word!(u16, 12);
-packed_key_word!(u32, 24);
-
-impl KeyWord for [u64; 2] {
-    #[inline]
-    fn pack(tagged_proc: u64, start: Cost) -> Option<[u64; 2]> {
-        Some([tagged_proc, start])
-    }
-
-    #[inline]
-    fn unpack(self) -> (u64, Cost) {
-        (self[0], self[1])
-    }
-}
-
-/// Re-encodes the entries of one form in a wider one.
-fn repack<F: KeyWord, T: KeyWord>(words: &[F]) -> Box<[T]> {
+/// Re-encodes short entries in the wide form.
+fn widen(words: &[u16]) -> Box<[[u64; 2]]> {
     words
         .iter()
-        .map(|w| {
-            let (tagged_proc, start) = w.unpack();
-            T::pack(tagged_proc, start).expect("a wider form holds every entry of a narrower one")
-        })
+        .map(|&w| [u64::from(w >> SHORT_START_BITS), u64::from(w & ((1 << SHORT_START_BITS) - 1))])
         .collect()
 }
 
@@ -194,43 +159,29 @@ impl StateSignature {
     }
 
     /// Schedules the unscheduled `node` on `proc` at `start`, moving the key
-    /// to a wider form, one step at a time, until the assignment fits.
+    /// to the wide form if the assignment does not fit the short one.
     fn assign(&mut self, node: usize, proc: u32, start: Cost) {
         debug_assert!(!self.is_assigned(node), "node already scheduled in the parent");
         self.hash = self.hash.wrapping_add(assignment_hash(node, proc, start));
         let tagged = u64::from(proc) + 1;
-        loop {
-            let widened = match &mut self.words {
-                KeyWords::Short(words) => match u16::pack(tagged, start) {
-                    Some(word) => {
-                        words.as_mut_slice()[node] = word;
-                        return;
-                    }
-                    None => KeyWords::Narrow(repack(words.as_slice())),
-                },
-                KeyWords::Narrow(words) => match u32::pack(tagged, start) {
-                    Some(word) => {
-                        words[node] = word;
-                        return;
-                    }
-                    None => KeyWords::Wide(repack(words)),
-                },
-                KeyWords::Wide(words) => {
-                    words[node] = [tagged, start];
-                    return;
+        match &mut self.words {
+            KeyWords::Short(words) => match pack_short(tagged, start) {
+                Some(word) => words.as_mut_slice()[node] = word,
+                None => {
+                    let mut wide = widen(words.as_slice());
+                    wide[node] = [tagged, start];
+                    self.words = KeyWords::Wide(wide);
                 }
-            };
-            self.words = widened;
+            },
+            KeyWords::Wide(words) => words[node] = [tagged, start],
         }
     }
 
     fn is_assigned(&self, node: usize) -> bool {
-        let tagged = match &self.words {
-            KeyWords::Short(words) => words.as_slice()[node].unpack().0,
-            KeyWords::Narrow(words) => words[node].unpack().0,
-            KeyWords::Wide(words) => words[node].unpack().0,
-        };
-        tagged != 0
+        match &self.words {
+            KeyWords::Short(words) => words.as_slice()[node] != 0,
+            KeyWords::Wide(words) => words[node][0] != 0,
+        }
     }
 
     /// The signature of the child obtained from this (parent) signature by
@@ -840,11 +791,11 @@ mod tests {
         assert_ne!(a.signature(), c.signature());
     }
 
-    /// A start or processor past a form's range moves the key to a wider
-    /// form, ending in the exact wide one, so no two placements alias,
-    /// however large the start.
+    /// A start or processor past the short form's range moves the key to
+    /// the exact wide form, so no two placements alias, however large the
+    /// start.
     #[test]
-    fn keys_stay_exact_past_the_narrow_range() {
+    fn keys_stay_exact_past_the_short_range() {
         let prob = example_problem();
         let base = SearchState::initial(&prob).signature();
         let n = NodeId(0);
@@ -854,15 +805,13 @@ mod tests {
         assert!(far.is_wide() && !near.is_wide());
         let top = base.with_assignment(n, ProcId(0), Cost::MAX);
         assert_ne!(top, base.with_assignment(n, ProcId(0), Cost::MAX - 1));
-        for (start, proc) in [(1 << 12, 14), (1 << 24, 254)] {
-            let past_start = base.with_assignment(n, ProcId(0), start);
-            assert_ne!(past_start, base.with_assignment(n, ProcId(1), 0), "start {start}");
-            let past_proc = base.with_assignment(n, ProcId(proc + 1), 0);
-            assert_ne!(past_proc, base, "processor {}", proc + 1);
-            assert_ne!(past_proc, base.with_assignment(n, ProcId(proc), 0));
-        }
-        assert!(!base.with_assignment(n, ProcId(254), (1 << 24) - 1).is_wide());
-        assert!(base.with_assignment(n, ProcId(255), 0).is_wide());
+        let past_start = base.with_assignment(n, ProcId(0), 1 << 12);
+        assert_ne!(past_start, near);
+        let past_proc = base.with_assignment(n, ProcId(15), 0);
+        assert_ne!(past_proc, base);
+        assert_ne!(past_proc, base.with_assignment(n, ProcId(14), 0));
+        assert!(!base.with_assignment(n, ProcId(14), (1 << 12) - 1).is_wide());
+        assert!(past_start.is_wide() && past_proc.is_wide());
     }
 
     /// Past 16 nodes a short key boxes its words: it widens and compares
@@ -886,7 +835,7 @@ mod tests {
         assert_ne!(widened, incremental.with_assignment(nodes[7], ProcId(0), 0));
     }
 
-    /// Heavy weights push start times past the narrow range mid-search: the
+    /// Heavy weights push start times past the short range mid-search: the
     /// key widens, keeps its hash, and equals the materialised state's key
     /// whichever order built the same partial schedule.
     #[test]

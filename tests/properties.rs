@@ -758,8 +758,8 @@ proptest! {
 /// A random key over the paper example's six nodes: one to three
 /// assignments on processors 0–2, starts below 200, which is the short
 /// form.  With `wide`, about half the keys take an assignment past the
-/// short range (a start from 2^12 up, or a processor from 15 up), and about
-/// half of those are past the narrow range too, which is the wide form.
+/// short range (a start from 2^12 up to 2^62, or a processor from 15 up),
+/// which is the wide form.
 fn random_seen_key(
     base: &optsched::core::state::StateSignature,
     rng: &mut StdRng,
@@ -790,7 +790,7 @@ proptest! {
     /// admit and remove sequences give the same return values, `len()` and
     /// duplicate counter.  A sequence admits a few thousand distinct keys,
     /// enough to grow every index part several times, and its second half
-    /// mixes in narrow and wide keys.  Each sequence runs on the paper's
+    /// mixes in wide keys.  Each sequence runs on the paper's
     /// six-node example and again on a 20-node problem, whose short keys
     /// are too long to be held inline.
     #[test]
