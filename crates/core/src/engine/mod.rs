@@ -27,8 +27,12 @@
 //! * [`SignatureSet`] is the serial hook: packed [`StateSignature`] words in
 //!   a chunked row slab, found through a flat index split into independently
 //!   growing parts.
+//! * [`BucketQueue`] ([`bucket`]) is OPEN for every best-first policy and for
+//!   the PPE workers: groups of equal integer keys, each a FIFO list of
+//!   16-byte pooled nodes under A\*.
 
 pub mod arena;
+pub mod bucket;
 pub mod policy;
 mod seen;
 
@@ -45,6 +49,7 @@ use crate::state::{ChildDelta, SearchState, StateSignature};
 use crate::stats::{SearchOutcome, SearchResult, SearchStats};
 
 pub use arena::{ArenaConfig, StateArena, StateId};
+pub use bucket::{BucketQueue, Queued};
 pub use policy::{
     focal_threshold, AStarPolicy, BoundPolicy, DfsPolicy, FocalPolicy, FrontierPolicy, OpenEntry,
     WeightedAStarPolicy,

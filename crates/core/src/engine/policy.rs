@@ -9,17 +9,21 @@
 //! states are selected for expansion.  Each policy below is a few dozen
 //! lines; adding a new scheduler family means adding one more.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use optsched_taskgraph::Cost;
 
 use crate::engine::arena::StateId;
+use crate::engine::bucket::{BucketQueue, Queued};
 use crate::problem::SchedulingProblem;
 use crate::state::{ChildDelta, SearchState};
 use crate::stats::SearchStats;
 
 /// One OPEN-list entry: a stored state plus the costs the policies order by.
+///
+/// The best-first policies keep OPEN as a [`BucketQueue`] keyed by their
+/// ordering, so a queued entry stores only what its key does not imply:
+/// under [`AStarPolicy`], whose `(f, h)` key gives every cost, that is the
+/// id and `seq` in 16 bytes.  [`FrontierPolicy::pop`] rebuilds the entry
+/// as it was pushed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpenEntry {
     /// Arena id of the state.
@@ -32,8 +36,17 @@ pub struct OpenEntry {
     /// `f` for the A\* family, the path-matching bound for Chen & Yu, `g`
     /// for the exhaustive enumeration.
     pub value: Cost,
-    /// Insertion sequence number (FIFO/LIFO tie-breaking).
+    /// Insertion sequence number (FIFO/LIFO tie-breaking).  Pushes carry
+    /// increasing numbers, as the engine's insertion counter does: the
+    /// bucket queues break ties in push order.
     pub seq: u64,
+}
+
+impl OpenEntry {
+    /// This entry as a queue entry under `key`, carrying `extra`.
+    fn queued<E>(self, key: (Cost, Cost), extra: E) -> Queued<E> {
+        Queued { key, id: self.id, seq: self.seq, extra }
+    }
 }
 
 /// The pluggable algorithm-specific half of the search engine.
@@ -51,10 +64,12 @@ pub trait FrontierPolicy {
         stats: &mut SearchStats,
     ) -> Option<Cost>;
 
-    /// Inserts a state into the frontier.
+    /// Inserts a state into the frontier.  An entry's `value` must be what
+    /// [`FrontierPolicy::evaluate`] returned for it (the root's is 0).
     fn push(&mut self, entry: OpenEntry);
 
-    /// Removes and returns the next state to expand.
+    /// Removes and returns the next state to expand.  The returned entry
+    /// equals, field for field, the one pushed for that state.
     fn pop(&mut self) -> Option<OpenEntry>;
 
     /// Current frontier size (may include lazily deleted entries).
@@ -80,69 +95,19 @@ pub trait FrontierPolicy {
     }
 }
 
-/// A binary min-heap of [`OpenEntry`]s keyed by `K` (smallest key pops first).
-#[derive(Debug)]
-struct MinHeap<K: Ord> {
-    heap: BinaryHeap<Keyed<K>>,
-}
-
-#[derive(Debug)]
-struct Keyed<K: Ord> {
-    key: Reverse<K>,
-    entry: OpenEntry,
-}
-
-impl<K: Ord> PartialEq for Keyed<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<K: Ord> Eq for Keyed<K> {}
-impl<K: Ord> PartialOrd for Keyed<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K: Ord> Ord for Keyed<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-impl<K: Ord> MinHeap<K> {
-    fn new() -> MinHeap<K> {
-        MinHeap { heap: BinaryHeap::new() }
-    }
-
-    fn push(&mut self, key: K, entry: OpenEntry) {
-        self.heap.push(Keyed { key: Reverse(key), entry });
-    }
-
-    fn pop(&mut self) -> Option<OpenEntry> {
-        self.heap.pop().map(|k| k.entry)
-    }
-
-    fn peek(&self) -> Option<&OpenEntry> {
-        self.heap.peek().map(|k| &k.entry)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
 /// A\* (Section 3.1): best-first on `(f, h, FIFO)`, with the upper-bound
 /// pruning rule of Section 3.2 when enabled.
 #[derive(Debug)]
 pub struct AStarPolicy {
-    open: MinHeap<(Cost, Cost, u64)>,
+    /// Keyed `(f, h)`; an entry's `value` is its `f`.
+    open: BucketQueue,
     prune_upper_bound: bool,
 }
 
 impl AStarPolicy {
     /// An A\* frontier; `prune_upper_bound` enables the incumbent bound rule.
     pub fn new(prune_upper_bound: bool) -> AStarPolicy {
-        AStarPolicy { open: MinHeap::new(), prune_upper_bound }
+        AStarPolicy { open: BucketQueue::new(), prune_upper_bound }
     }
 }
 
@@ -160,11 +125,14 @@ impl FrontierPolicy for AStarPolicy {
     }
 
     fn push(&mut self, entry: OpenEntry) {
-        self.open.push((entry.value, entry.h, entry.seq), entry);
+        debug_assert_eq!(entry.value, entry.f, "A* orders by f");
+        self.open.push(entry.queued((entry.f, entry.h), ()));
     }
 
     fn pop(&mut self) -> Option<OpenEntry> {
-        self.open.pop()
+        let e = self.open.pop()?;
+        let (f, h) = e.key;
+        Some(OpenEntry { id: e.id, f, h, value: f, seq: e.seq })
     }
 
     fn open_len(&self) -> usize {
@@ -186,7 +154,8 @@ impl FrontierPolicy for AStarPolicy {
 /// *bit-identical* to A\* (pinned by the conformance suite).
 #[derive(Debug)]
 pub struct WeightedAStarPolicy {
-    open: MinHeap<(Cost, Cost, u64)>,
+    /// Keyed `(value, h)`, carrying `f`.
+    open: BucketQueue<Cost>,
     weight: f64,
     prune_upper_bound: bool,
 }
@@ -199,7 +168,7 @@ impl WeightedAStarPolicy {
     /// Panics if `weight` is below 1 or not finite.
     pub fn new(weight: f64, prune_upper_bound: bool) -> WeightedAStarPolicy {
         assert!(weight.is_finite() && weight >= 1.0, "weight must be a finite number >= 1");
-        WeightedAStarPolicy { open: MinHeap::new(), weight, prune_upper_bound }
+        WeightedAStarPolicy { open: BucketQueue::new(), weight, prune_upper_bound }
     }
 
     /// The inflated ordering key `g + round(w · h)`.
@@ -225,11 +194,13 @@ impl FrontierPolicy for WeightedAStarPolicy {
     }
 
     fn push(&mut self, entry: OpenEntry) {
-        self.open.push((entry.value, entry.h, entry.seq), entry);
+        self.open.push(entry.queued((entry.value, entry.h), entry.f));
     }
 
     fn pop(&mut self) -> Option<OpenEntry> {
-        self.open.pop()
+        let e = self.open.pop()?;
+        let (value, h) = e.key;
+        Some(OpenEntry { id: e.id, f: e.extra, h, value, seq: e.seq })
     }
 
     fn open_len(&self) -> usize {
@@ -237,9 +208,13 @@ impl FrontierPolicy for WeightedAStarPolicy {
     }
 }
 
-/// Largest cost admitted into FOCAL when the smallest OPEN cost is `fmin`.
+/// Largest cost admitted into FOCAL when the smallest OPEN cost is `fmin`:
+/// `floor(fmin · (1 + ε))`, computed in `f64` and clamped to at least
+/// `fmin`.  Above 2^53 an `f64` cannot hold every integer and `fmin` itself
+/// may round down; the clamp keeps `fmin` in FOCAL, so at `ε = 0` the
+/// threshold is exactly `fmin` for every cost.
 pub fn focal_threshold(epsilon: f64, fmin: Cost) -> Cost {
-    ((fmin as f64) * (1.0 + epsilon)).floor() as Cost
+    (((fmin as f64) * (1.0 + epsilon)).floor() as Cost).max(fmin)
 }
 
 /// Sentinel for "no live OPEN entry under this id" in [`FocalPolicy`]'s
@@ -250,12 +225,17 @@ const NO_OPEN_SEQ: u64 = u64::MAX;
 /// of OPEN — by `f` (for `fmin` and the fallback) and by `(h, f)` — and
 /// expands the smallest-`h` state whose `f` is within `(1 + ε) · fmin`
 /// (FOCAL), falling back to the smallest-`f` state.
+///
+/// [`FrontierPolicy::open_len`] is the size of the `f` ordering: the live
+/// entries plus those taken through FOCAL that it has not yet discarded.
 #[derive(Debug)]
 pub struct FocalPolicy {
     epsilon: f64,
     prune_upper_bound: bool,
-    open_f: MinHeap<(Cost, u64)>,
-    open_h: MinHeap<(Cost, Cost, u64)>,
+    /// Keyed `(f, 0)`, carrying `h`; an entry's `value` is its `f`.
+    open_f: BucketQueue<Cost>,
+    /// Keyed `(h, f)`.
+    open_h: BucketQueue,
     /// Lazy-deletion marker: the `seq` of the live OPEN entry per state id
     /// ([`NO_OPEN_SEQ`] when the id is closed).  Keyed on `seq` rather than
     /// a boolean because the arena reuses reclaimed ids — a stale twin entry
@@ -269,14 +249,14 @@ impl FocalPolicy {
         FocalPolicy {
             epsilon,
             prune_upper_bound,
-            open_f: MinHeap::new(),
-            open_h: MinHeap::new(),
+            open_f: BucketQueue::new(),
+            open_h: BucketQueue::new(),
             in_open: Vec::new(),
         }
     }
 
-    fn is_open(&self, entry: &OpenEntry) -> bool {
-        self.in_open.get(entry.id as usize).copied() == Some(entry.seq)
+    fn is_open<E>(&self, e: &Queued<E>) -> bool {
+        self.in_open.get(e.id as usize).copied() == Some(e.seq)
     }
 
     fn mark(&mut self, id: StateId, seq: u64) {
@@ -302,41 +282,43 @@ impl FrontierPolicy for FocalPolicy {
     }
 
     fn push(&mut self, entry: OpenEntry) {
+        debug_assert_eq!(entry.value, entry.f, "Aε* orders by f");
         self.mark(entry.id, entry.seq);
-        self.open_f.push((entry.f, entry.seq), entry);
-        self.open_h.push((entry.h, entry.f, entry.seq), entry);
+        self.open_f.push(entry.queued((entry.f, 0), entry.h));
+        self.open_h.push(entry.queued((entry.h, entry.f), ()));
     }
 
     fn pop(&mut self) -> Option<OpenEntry> {
-        // Clean stale entries from the f-ordered heap and read fmin.
+        // Discard stale entries from the f ordering and read fmin.
         let fmin = loop {
-            match self.open_f.peek() {
-                None => return None,
-                Some(e) if self.is_open(e) => break e.f,
-                Some(_) => {
-                    self.open_f.pop();
-                }
+            let e = self.open_f.peek()?;
+            if self.is_open(&e) {
+                break e.key.0;
             }
+            self.open_f.pop();
         };
         let threshold = focal_threshold(self.epsilon, fmin);
 
         // Prefer the smallest-h state within FOCAL; fall back to the
         // smallest-f state (which is trivially in FOCAL).
-        let mut chosen: Option<OpenEntry> = None;
+        let mut chosen = None;
         while let Some(e) = self.open_h.peek() {
-            if !self.is_open(e) {
+            if !self.is_open(&e) {
                 self.open_h.pop();
                 continue;
             }
-            if e.f <= threshold {
-                chosen = self.open_h.pop();
+            let (h, f) = e.key;
+            if f <= threshold {
+                self.open_h.pop();
+                chosen = Some(OpenEntry { id: e.id, f, h, value: f, seq: e.seq });
             }
             break;
         }
-        let entry = match chosen {
-            Some(e) => e,
-            None => self.open_f.pop().expect("fmin was just observed"),
-        };
+        let entry = chosen.unwrap_or_else(|| {
+            let e = self.open_f.pop().expect("fmin was just observed");
+            let f = e.key.0;
+            OpenEntry { id: e.id, f, h: e.extra, value: f, seq: e.seq }
+        });
         self.mark(entry.id, NO_OPEN_SEQ);
         Some(entry)
     }
@@ -353,7 +335,8 @@ impl FrontierPolicy for FocalPolicy {
 /// itself (no external upper bound), hence the infinite initial incumbent.
 #[derive(Debug)]
 pub struct BoundPolicy<F> {
-    open: MinHeap<(Cost, u64)>,
+    /// Keyed `(bound, 0)`, carrying `(f, h)`.
+    open: BucketQueue<(Cost, Cost)>,
     bound: F,
 }
 
@@ -363,7 +346,7 @@ where
 {
     /// A branch-and-bound frontier ordered by `bound`'s result.
     pub fn new(bound: F) -> BoundPolicy<F> {
-        BoundPolicy { open: MinHeap::new(), bound }
+        BoundPolicy { open: BucketQueue::new(), bound }
     }
 }
 
@@ -384,11 +367,13 @@ where
     }
 
     fn push(&mut self, entry: OpenEntry) {
-        self.open.push((entry.value, entry.seq), entry);
+        self.open.push(entry.queued((entry.value, 0), (entry.f, entry.h)));
     }
 
     fn pop(&mut self) -> Option<OpenEntry> {
-        self.open.pop()
+        let e = self.open.pop()?;
+        let (f, h) = e.extra;
+        Some(OpenEntry { id: e.id, f, h, value: e.key.0, seq: e.seq })
     }
 
     fn open_len(&self) -> usize {
@@ -509,6 +494,16 @@ mod tests {
         assert_eq!(focal_threshold(0.2, 10), 12);
         assert_eq!(focal_threshold(0.2, 14), 16); // 16.8 -> 16
         assert_eq!(focal_threshold(0.0, 7), 7);
+    }
+
+    #[test]
+    fn focal_threshold_never_drops_below_fmin() {
+        let fmin = (1u64 << 53) + 1; // rounds down to 2^53 as an f64
+        assert_eq!(focal_threshold(0.0, fmin), fmin);
+        assert_eq!(focal_threshold(0.0, u64::MAX), u64::MAX);
+        assert!(focal_threshold(1e-18, fmin) >= fmin);
+        assert_eq!(focal_threshold(0.5, 1 << 60), 3 << 59);
+        assert_eq!(focal_threshold(0.5, u64::MAX - 1), u64::MAX, "saturates");
     }
 
     #[test]

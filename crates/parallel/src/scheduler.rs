@@ -24,10 +24,11 @@
 //!   beat the incumbent (within the ε bound, if any) raises the global
 //!   termination flag.
 //!
-//! Each PPE stores its search frontier in a private [`StateArena`]: OPEN
-//! holds arena ids ordered by `(f, h, FIFO)`, generated children live as
-//! parent-id + [`ChildDelta`] records, and a full [`SearchState`] is built
-//! only when a state is selected for expansion (scratch replay).  A shallow
+//! Each PPE stores its search frontier in a private [`StateArena`]: OPEN is
+//! the engine's [`BucketQueue`] of arena ids keyed by `(f, h)`, which pops in
+//! `(f, h, FIFO)` order; generated children live as parent-id +
+//! [`ChildDelta`] records, and a full [`SearchState`] is built only when a
+//! state is selected for expansion (scratch replay).  A shallow
 //! state moves between PPEs as its *delta chain* (extracted without
 //! materialising, re-rooted below the receiver's slot-0 initial state); one
 //! deeper than four (`SNAPSHOT_DEPTH_THRESHOLD`) moves as a single snapshot.
@@ -37,7 +38,6 @@
 //! of a chain, `v` per snapshot) so both transfer forms share one unit.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -45,8 +45,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use optsched_core::engine::{
-    expand_state, ArenaConfig, DuplicateFilter, ExpansionContext, SignatureSet, StateArena,
-    StateId,
+    expand_state, focal_threshold, ArenaConfig, BucketQueue, DuplicateFilter, ExpansionContext,
+    Queued, SignatureSet, StateArena, StateId,
 };
 use optsched_core::state::{ChildDelta, StateSignature};
 use optsched_core::{SchedulingProblem, SearchOutcome, SearchState, SearchStats};
@@ -60,33 +60,6 @@ use crate::result::ParallelSearchResult;
 
 /// Number of FOCAL candidates inspected per selection in the ε-bounded mode.
 const FOCAL_SCAN_LIMIT: usize = 64;
-
-/// An OPEN entry ordered by `(f, h, insertion counter)` ascending.  The
-/// state itself lives in the PPE's [`StateArena`]; the entry carries only its
-/// id plus the ordering key, so OPEN membership costs no live full state in
-/// the delta layout.
-struct HeapEntry {
-    key: (Cost, Cost, u64),
-    id: StateId,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; reverse so the smallest key is on top.
-        Reverse(self.key).cmp(&Reverse(other.key))
-    }
-}
 
 /// Transfer depth at or below which a delta arena ships the raw chain; any
 /// deeper and it materialises the state and ships one snapshot instead.  A
@@ -511,31 +484,25 @@ impl<'a> ParallelAStarScheduler<'a> {
 }
 
 /// Selects the next state to expand: plain best-first for the exact search,
-/// or a FOCAL-style "deepest state within (1+ε)·fmin" for the ε-bounded one.
-fn select_state(open: &mut BinaryHeap<HeapEntry>, epsilon: Option<f64>) -> HeapEntry {
+/// or a FOCAL-style "deepest state within (1+ε)·fmin" for the ε-bounded one,
+/// among the first [`FOCAL_SCAN_LIMIT`] entries in `(f, h, FIFO)` order.
+fn select_state(open: &mut BucketQueue, epsilon: Option<f64>) -> Queued {
     let Some(eps) = epsilon else {
         return open.pop().expect("select_state called on a non-empty OPEN");
     };
-    let fmin = open.peek().expect("non-empty OPEN").key.0;
-    let threshold = (fmin as f64 * (1.0 + eps)).floor() as Cost;
-    let mut focal: Vec<HeapEntry> = Vec::new();
-    while focal.len() < FOCAL_SCAN_LIMIT {
-        match open.peek() {
-            Some(e) if e.key.0 <= threshold => focal.push(open.pop().expect("peeked")),
-            _ => break,
-        }
-    }
-    // Pick the FOCAL member with the smallest h (closest to a goal).
-    let best_idx = focal
+    let threshold = focal_threshold(eps, open.peek().expect("non-empty OPEN").key.0);
+    // Pick the FOCAL member with the smallest h (closest to a goal).  It is
+    // the front of its (f, h) group, whose later entries share its key and
+    // carry larger sequence numbers, so taking it leaves every other entry
+    // in place.
+    let chosen = open
         .iter()
-        .enumerate()
-        .min_by_key(|(_, e)| (e.key.1, e.key.0, e.key.2))
-        .map(|(i, _)| i)
-        .expect("focal contains at least the fmin state");
-    let chosen = focal.swap_remove(best_idx);
-    for e in focal {
-        open.push(e);
-    }
+        .take(FOCAL_SCAN_LIMIT)
+        .take_while(|e| e.key.0 <= threshold)
+        .min_by_key(|e| (e.key.1, e.key.0, e.seq))
+        .expect("FOCAL contains at least the fmin state");
+    let taken = open.remove_front(chosen.key);
+    debug_assert_eq!(taken, Some(chosen));
     chosen
 }
 
@@ -558,7 +525,7 @@ fn ppe_worker(
     let obs_track = if obs::enabled() { obs::next_track() } else { 0 };
     let _obs_span = obs::span("ppe", obs_track).with_arg("ppe", id as u64);
     let mut stats = SearchStats::default();
-    let mut open: BinaryHeap<HeapEntry> = BinaryHeap::new();
+    let mut open = BucketQueue::new();
     let mut arena = StateArena::new(problem, ArenaConfig);
     // Slot 0 is the problem's initial (empty) state: chains received from
     // other PPEs are re-rooted below it.
@@ -569,7 +536,6 @@ fn ppe_worker(
     };
     let mut counter: u64 = 0;
 
-    let bound_factor = cfg.epsilon.map_or(1.0, |e| 1.0 + e);
     let v = problem.num_nodes() as u64;
     let goal_depth = problem.num_nodes() as u16;
     let mut comm_period = (v / 2).max(cfg.min_comm_period);
@@ -596,7 +562,7 @@ fn ppe_worker(
         ElectionTransfer,
     }
 
-    let push_transfer = |open: &mut BinaryHeap<HeapEntry>,
+    let push_transfer = |open: &mut BucketQueue,
                              arena: &mut StateArena<'_>,
                              dup: &mut DupFilter<'_>,
                              counter: &mut u64,
@@ -620,12 +586,11 @@ fn ppe_worker(
             shared.offer_incumbent(g, || payload.to_state(problem).to_schedule(problem));
         }
         *counter += 1;
-        let key = (f, h, *counter);
         let id = match payload {
             Payload::Full(state) => arena.adopt_snapshot(state),
             Payload::Chain(chain) => arena.adopt_chain(&chain),
         };
-        open.push(HeapEntry { key, id });
+        open.push(Queued { key: (f, h), id, seq: *counter, extra: () });
     };
 
     for s in initial {
@@ -674,7 +639,9 @@ fn ppe_worker(
         stats.max_open_size = stats.max_open_size.max(open.len());
 
         // Global termination test: nothing in flight and no frontier state
-        // anywhere can improve on the incumbent (within the ε bound).
+        // anywhere can improve on the incumbent (within the ε bound).  The
+        // comparison stays in integers: above 2^53 distinct costs share an
+        // `f64`.
         let incumbent_len = shared.incumbent_len();
         if shared.in_flight.load(Ordering::SeqCst) == 0 {
             let global_min = shared
@@ -683,8 +650,8 @@ fn ppe_worker(
                 .map(|a| a.load(Ordering::SeqCst))
                 .min()
                 .unwrap_or(u64::MAX);
-            let done = global_min == u64::MAX
-                || (incumbent_len as f64) <= bound_factor * (global_min as f64);
+            let bound = cfg.epsilon.map_or(global_min, |e| focal_threshold(e, global_min));
+            let done = global_min == u64::MAX || incumbent_len <= bound;
             if done {
                 shared.terminate.store(true, Ordering::SeqCst);
                 break;
@@ -783,7 +750,7 @@ fn ppe_worker(
             stats.generated += 1;
             shared.total_generated.fetch_add(1, Ordering::Relaxed);
             let child = arena.insert_child(entry.id, &delta);
-            open.push(HeapEntry { key: (f, delta.h, counter), id: child });
+            open.push(Queued { key: (f, delta.h), id: child, seq: counter, extra: () });
         }
         // The popped state's own handle is done: children hold their own
         // references up the chain, so dead subtrees (no surviving children)
@@ -886,7 +853,9 @@ fn ppe_worker(
                     .collect();
                 if !deficits.is_empty() {
                     let surplus = open.len() - avg;
-                    // Keep the best state locally; deal the following ones out.
+                    // Keep the best state locally; deal the following ones
+                    // out.  The kept state goes back to the front of its
+                    // group, where it came from.
                     let keep = open.pop();
                     let mut sent = 0usize;
                     let mut outgoing: Vec<StateId> = Vec::with_capacity(surplus);
@@ -900,7 +869,7 @@ fn ppe_worker(
                         }
                     }
                     if let Some(k) = keep {
-                        open.push(k);
+                        open.push_front(k);
                     }
                     for (i, sid) in outgoing.into_iter().enumerate() {
                         // Chain-on-send: a shallow state leaves as its delta
@@ -971,7 +940,7 @@ mod tests {
     use super::*;
     use optsched_core::{AStarScheduler, PruningConfig, SearchLimits};
     use optsched_procnet::{ProcNetwork, Topology};
-    use optsched_taskgraph::paper_example_dag;
+    use optsched_taskgraph::{paper_example_dag, GraphBuilder};
     use optsched_workload::{generate_random_dag, RandomDagConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1295,6 +1264,94 @@ mod tests {
             let r = ParallelAStarScheduler::new(&prob, cfg).run();
             assert!(r.is_optimal());
             assert_eq!(r.election_transfers(), 0, "local mode elections are copies");
+        }
+    }
+
+    /// The ε rule reads at most `FOCAL_SCAN_LIMIT` entries in `(f, h, FIFO)`
+    /// order, takes the smallest `(h, f, seq)` among those within the
+    /// threshold, and leaves every other entry where it was.
+    #[test]
+    fn select_state_takes_the_smallest_h_among_the_first_focal_entries() {
+        let q = |f, h, seq| Queued { key: (f, h), id: seq as StateId, seq, extra: () };
+        let mut open = BucketQueue::new();
+        let pushed = [(10, 5), (10, 5), (11, 1), (12, 0), (13, 0), (10, 5)];
+        for ((f, h), seq) in pushed.into_iter().zip(1..) {
+            open.push(q(f, h, seq));
+        }
+        // fmin = 10, so the threshold is floor(10 · 1.2) = 12.
+        assert_eq!(select_state(&mut open, Some(0.2)).seq, 4);
+        assert_eq!(open.iter().map(|e| e.seq).collect::<Vec<_>>(), [1, 2, 6, 3, 5]);
+        assert_eq!(select_state(&mut open, None).seq, 1);
+
+        let mut open = BucketQueue::new();
+        for seq in 1..=FOCAL_SCAN_LIMIT as u64 {
+            open.push(q(10, 5, seq));
+        }
+        open.push(q(11, 0, 100));
+        assert_eq!(select_state(&mut open, Some(0.2)).seq, 1, "h = 0 lies past the scan");
+    }
+
+    /// The random v = 7 graph of seed 4 behind one extra entry task of
+    /// weight 2^60, with 0-cost edges to every original entry task: every
+    /// cost lies above 2^60, where an `f64` is 256 apart.
+    fn heavy_entry_problem() -> SchedulingProblem {
+        let mut rng = StdRng::seed_from_u64(4);
+        let g = generate_random_dag(
+            &RandomDagConfig { nodes: 7, ccr: 1.0, ..Default::default() },
+            &mut rng,
+        );
+        let mut b = GraphBuilder::new();
+        for n in g.node_ids() {
+            b.add_node(g.weight(n));
+        }
+        for e in g.edges() {
+            b.add_edge(e.src, e.dst, e.weight).unwrap();
+        }
+        let heavy = b.add_node(1 << 60);
+        for n in g.entry_nodes() {
+            b.add_edge(heavy, n, 0).unwrap();
+        }
+        SchedulingProblem::new(b.build().unwrap(), ProcNetwork::ring(3))
+    }
+
+    #[test]
+    fn exact_mode_stays_exact_above_2_pow_53() {
+        let prob = heavy_entry_problem();
+        let serial = AStarScheduler::new(&prob).run();
+        assert!(serial.is_optimal());
+        assert_eq!(serial.schedule_length, (1 << 60) + 86);
+        for q in [1, 2] {
+            let r = ParallelAStarScheduler::new(&prob, ParallelConfig::exact(q)).run();
+            assert!(r.is_optimal(), "q={q}");
+            assert_eq!(r.schedule_length(), serial.schedule_length, "q={q}");
+            r.schedule.validate(prob.graph(), prob.network()).unwrap();
+        }
+    }
+
+    /// Three tasks of weight 2^53 + 1, the first with unit-cost edges to the
+    /// other two: at ε = 0 a threshold computed in `f64` falls below fmin.
+    #[test]
+    fn epsilon_mode_handles_fmin_above_2_pow_53() {
+        let w = (1u64 << 53) + 1;
+        let mut b = GraphBuilder::new();
+        let (a, x, y) = (b.add_node(w), b.add_node(w), b.add_node(w));
+        b.add_edge(a, x, 1).unwrap();
+        b.add_edge(a, y, 1).unwrap();
+        let prob = SchedulingProblem::new(b.build().unwrap(), ProcNetwork::fully_connected(2));
+        let optimal = AStarScheduler::new(&prob).run().schedule_length;
+        assert_eq!(optimal, 2 * w + 1);
+        for eps in [0.0, 0.5] {
+            for q in [1, 2] {
+                let cfg = ParallelConfig::approximate(q, eps);
+                let r = ParallelAStarScheduler::new(&prob, cfg).run();
+                assert!(r.is_optimal(), "eps={eps} q={q}");
+                assert!(
+                    r.schedule_length() <= focal_threshold(eps, optimal),
+                    "eps={eps} q={q}: {} against an optimum of {optimal}",
+                    r.schedule_length()
+                );
+                r.schedule.validate(prob.graph(), prob.network()).unwrap();
+            }
         }
     }
 

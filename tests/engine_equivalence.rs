@@ -147,6 +147,60 @@ fn single_ppe_parallel_counts_are_pinned_across_modes() {
     }
 }
 
+/// Pinned q = 1 parallel Aε\* runs, one row per corpus instance:
+/// (name, ε = 0.2 length, expanded, generated, ε = 0.5 length, expanded,
+///  generated).
+///
+/// The ε-bounded PPE selects among the first 64 FOCAL entries of its OPEN
+/// list, in `(f, h, FIFO)` order, rather than with the serial `FocalPolicy`
+/// rule; these counts pin that rule as `PINNED_PARALLEL_Q1` pins the exact
+/// one.  Captured at the change that moved the PPE's OPEN from a binary heap
+/// to the engine's bucket queue, from the heap version; identical across
+/// both duplicate-detection modes.  Re-pin in the same commit if an
+/// intentional change moves them.
+const PINNED_PARALLEL_Q1_EPS: &[(&str, Cost, u64, u64, Cost, u64, u64)] = &[
+    ("paper-example", 14, 1, 1, 14, 1, 1),
+    ("fork-join", 16, 3, 5, 16, 1, 1),
+    ("chain", 18, 1, 1, 18, 1, 1),
+    ("out-tree", 19, 64, 118, 19, 23, 48),
+    ("in-tree", 18, 25, 138, 18, 1, 4),
+    ("random-v6-ccr0.1", 155, 5, 10, 155, 2, 5),
+    ("random-v7-ccr0.1", 163, 3, 8, 163, 3, 8),
+    ("random-v6-ccr1", 203, 1, 1, 203, 1, 1),
+    ("random-v7-ccr1", 193, 155, 302, 193, 127, 278),
+    ("random-v6-ccr10", 256, 223, 401, 256, 223, 401),
+    ("random-v7-ccr10", 225, 177, 267, 225, 11, 22),
+];
+
+#[test]
+fn single_ppe_parallel_aeps_counts_are_pinned_across_modes() {
+    let cases = corpus();
+    assert_eq!(cases.len(), PINNED_PARALLEL_Q1_EPS.len(), "corpus and pinned table out of sync");
+    for ((name, graph, net), pinned) in cases.into_iter().zip(PINNED_PARALLEL_Q1_EPS) {
+        let (pname, len_02, exp_02, gen_02, len_05, exp_05, gen_05) = *pinned;
+        assert_eq!(name, pname, "corpus order changed — re-pin the table");
+        let problem = SchedulingProblem::new(graph, net);
+        for (eps, length, expanded, generated) in
+            [(0.2, len_02, exp_02, gen_02), (0.5, len_05, exp_05, gen_05)]
+        {
+            for mode in [DuplicateDetection::ShardedGlobal, DuplicateDetection::Local] {
+                let cfg = ParallelConfig::approximate(1, eps).with_duplicate_detection(mode);
+                let r = ParallelAStarScheduler::new(&problem, cfg).run();
+                let ctx = format!("{name}: q=1 eps={eps} mode={mode}");
+                assert!(r.is_optimal(), "{ctx}");
+                assert_eq!(r.schedule_length(), length, "{ctx}");
+                let total = r.total_stats();
+                assert_eq!(
+                    (total.expanded, total.generated),
+                    (expanded, generated),
+                    "{ctx}: deterministic-replay counts drifted — if the change is \
+                     intentional, re-pin PINNED_PARALLEL_Q1_EPS in the same commit"
+                );
+            }
+        }
+    }
+}
+
 /// `SearchLimits` now flow through every family, including the exhaustive
 /// enumerator (which silently ignored them before the engine refactor).
 #[test]

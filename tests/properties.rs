@@ -842,3 +842,147 @@ proptest! {
         }
     }
 }
+
+/// The order a frontier policy pops in, as an O(n) scan model.
+#[derive(Debug, Clone, Copy)]
+enum PopRule {
+    /// Smallest `(value, h, seq)`: A\* and weighted A\*.
+    ValueH,
+    /// Smallest `(value, seq)`: branch-and-bound.
+    Value,
+    /// Aε\*: the live minimum by `(h, f, seq)` if its `f` is within
+    /// `focal_threshold(ε, fmin)`, else the minimum by `(f, seq)`.
+    Focal(f64),
+}
+
+/// A frontier as a plain list, popped by scanning it under `rule`.
+struct ScanModel {
+    rule: PopRule,
+    live: Vec<optsched::core::engine::OpenEntry>,
+    /// Aε\* only: entries taken through FOCAL that the policy's `f` ordering
+    /// still holds.  It drops them lazily, once they sort before its live
+    /// minimum, and counts them in `open_len` until then.
+    stale: Vec<optsched::core::engine::OpenEntry>,
+}
+
+impl ScanModel {
+    fn new(rule: PopRule) -> ScanModel {
+        ScanModel { rule, live: Vec::new(), stale: Vec::new() }
+    }
+
+    fn pop(&mut self) -> Option<optsched::core::engine::OpenEntry> {
+        use optsched::core::engine::{focal_threshold, OpenEntry};
+        let min_by = |live: &[OpenEntry], key: fn(&OpenEntry) -> (Cost, Cost, u64)| {
+            (0..live.len()).min_by_key(|&i| key(&live[i]))
+        };
+        let at = match self.rule {
+            PopRule::ValueH => min_by(&self.live, |e| (e.value, e.h, e.seq))?,
+            PopRule::Value => min_by(&self.live, |e| (e.value, 0, e.seq))?,
+            PopRule::Focal(eps) => {
+                let Some(by_f) = min_by(&self.live, |e| (e.f, 0, e.seq)) else {
+                    self.stale.clear();
+                    return None;
+                };
+                let front = (self.live[by_f].f, self.live[by_f].seq);
+                self.stale.retain(|e| (e.f, e.seq) > front);
+                let by_h = min_by(&self.live, |e| (e.h, e.f, e.seq)).unwrap();
+                if self.live[by_h].f <= focal_threshold(eps, self.live[by_f].f) {
+                    self.stale.push(self.live[by_h]);
+                    by_h
+                } else {
+                    by_f
+                }
+            }
+        };
+        Some(self.live.swap_remove(at))
+    }
+
+    fn len(&self) -> usize {
+        self.live.len() + self.stale.len()
+    }
+}
+
+/// A random cost: from `0..6` (many ties) or, with `wide`, about three
+/// times in four from the whole `u64` range, from just above 2^53 or from
+/// just below `u64::MAX`.
+fn random_cost(rng: &mut StdRng, wide: bool) -> Cost {
+    use rand::Rng;
+    match if wide { rng.gen_range(0..4u32) } else { 0 } {
+        1 => rng.next_u64(),
+        2 => (1 << 53) + rng.gen_range(0..4u64),
+        3 => u64::MAX - rng.gen_range(0..4u64),
+        _ => rng.gen_range(0..6u64),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// Every bucket-queue frontier policy against a scan model of its rule:
+    /// random pushes with pops interleaved, then a full drain, give the same
+    /// pop sequence and the same `open_len` after every operation, and each
+    /// popped entry equals the pushed one field for field.  Pushes carry
+    /// increasing `seq`, as the engine's do; ids of popped entries are
+    /// reused, as the arena reuses reclaimed ids.  Entries pushed to A\* and
+    /// Aε\* have `value = f`, what their `evaluate` returns.
+    #[test]
+    fn frontier_policies_match_a_scan_model(seed in any::<u64>()) {
+        use optsched::core::engine::{
+            AStarPolicy, BoundPolicy, FocalPolicy, FrontierPolicy, OpenEntry, WeightedAStarPolicy,
+        };
+        use optsched::core::{ChildDelta, SearchState};
+        use rand::Rng;
+
+        const OPS: usize = 1500;
+        let mut rng = StdRng::seed_from_u64(seed);
+        for wide in [false, true] {
+            let no_bound =
+                |_: &SchedulingProblem, _: &SearchState, _: &ChildDelta, _: &mut SearchStats| 0;
+            let policies: Vec<(&str, Box<dyn FrontierPolicy>, PopRule, bool)> = vec![
+                ("A*", Box::new(AStarPolicy::new(true)), PopRule::ValueH, true),
+                ("wA*", Box::new(WeightedAStarPolicy::new(2.0, true)), PopRule::ValueH, false),
+                ("bound", Box::new(BoundPolicy::new(no_bound)), PopRule::Value, false),
+                ("Aε*(0)", Box::new(FocalPolicy::new(0.0, true)), PopRule::Focal(0.0), true),
+                ("Aε*(0.3)", Box::new(FocalPolicy::new(0.3, true)), PopRule::Focal(0.3), true),
+            ];
+            for (name, mut policy, rule, value_is_f) in policies {
+                let mut model = ScanModel::new(rule);
+                let (mut closed, mut fresh, mut pops) = (Vec::new(), 0u32, 0usize);
+                for (op, seq) in (0..OPS).zip(1u64..) {
+                    let popped = if rng.gen_range(0..5u32) < 3 {
+                        let id = if !closed.is_empty() && rng.gen_bool(0.3) {
+                            closed.swap_remove(rng.gen_range(0..closed.len()))
+                        } else {
+                            fresh += 1;
+                            fresh
+                        };
+                        let (f, h) = (random_cost(&mut rng, wide), random_cost(&mut rng, wide));
+                        let value = if value_is_f { f } else { random_cost(&mut rng, wide) };
+                        let entry = OpenEntry { id, f, h, value, seq };
+                        policy.push(entry);
+                        model.live.push(entry);
+                        None
+                    } else {
+                        let (got, want) = (policy.pop(), model.pop());
+                        prop_assert_eq!(got, want, "{} wide={}: pop at op {}", name, wide, op);
+                        pops += usize::from(got.is_some());
+                        got
+                    };
+                    closed.extend(popped.map(|e| e.id));
+                    let (len, want_len) = (policy.open_len(), model.len());
+                    prop_assert_eq!(len, want_len, "{} wide={}: open_len at op {}", name, wide, op);
+                }
+                loop {
+                    let (got, want) = (policy.pop(), model.pop());
+                    prop_assert_eq!(got, want, "{} wide={}: drain", name, wide);
+                    prop_assert_eq!(policy.open_len(), model.len(), "{} wide={}", name, wide);
+                    if got.is_none() {
+                        break;
+                    }
+                    pops += 1;
+                }
+                prop_assert!(pops > OPS / 2, "{}: {} pops", name, pops);
+            }
+        }
+    }
+}
