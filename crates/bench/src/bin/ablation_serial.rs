@@ -21,7 +21,7 @@
 
 use optsched::registry::SchedulerSpec;
 use optsched_bench::{workload_problem, write_json_rows, CsvWriter, ExperimentOptions};
-use optsched_core::{SearchLimits, SearchOutcome};
+use optsched_core::{SearchConfig, SearchLimits, SearchOutcome};
 
 const FAMILIES: [&str; 4] = ["astar", "aeps", "chenyu", "exhaustive"];
 /// Families measured a second time with the seeded incumbent (the service
@@ -65,7 +65,8 @@ fn main() {
             .chain(SEEDED_FAMILIES.iter().map(|&f| (f, true)));
         let mut optimum: Option<u64> = None;
         for (family, seeded) in runs {
-            let spec = SchedulerSpec { limits, seed_incumbent: seeded, ..Default::default() };
+            let search = SearchConfig { limits, seed_incumbent: seeded, ..Default::default() };
+            let spec = SchedulerSpec { search, ..Default::default() };
             let r = spec.run(family, &problem).expect(family).result;
             let mut ms = r.elapsed.as_secs_f64() * 1e3;
             let timed_out = r.outcome == SearchOutcome::LimitReached;

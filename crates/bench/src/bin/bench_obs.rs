@@ -26,13 +26,14 @@ use std::time::Instant;
 
 use optsched::registry::SchedulerSpec;
 use optsched_bench::{workload_problem, write_json_rows, ExperimentOptions};
-use optsched_core::SchedulingProblem;
+use optsched_core::{SchedulingProblem, SearchConfig};
 
 /// Best-of-N wall-clock of the seeded exact A\* search, plus the result's
 /// schedule length (asserted identical across modes: instrumentation must
 /// never change the search).
 fn best_of(problem: &SchedulingProblem, reps: usize) -> (f64, u64) {
-    let spec = SchedulerSpec { seed_incumbent: true, ..Default::default() };
+    let search = SearchConfig { seed_incumbent: true, ..Default::default() };
+    let spec = SchedulerSpec { search, ..Default::default() };
     let mut best_ms = f64::INFINITY;
     let mut length = 0;
     for _ in 0..reps {

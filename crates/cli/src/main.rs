@@ -64,7 +64,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use optsched::registry::{path_cache_hit_rate, SchedulerSpec, NAMES};
-use optsched_core::{AStarScheduler, SchedulingProblem, SearchLimits, SearchOutcome};
+use optsched_core::{AStarScheduler, SchedulingProblem, SearchConfig, SearchLimits, SearchOutcome};
 use optsched_procnet::{ProcNetwork, Topology};
 use optsched_schedule::{render_gantt, Schedule};
 use optsched_service::{run_service, serve_tcp, Request, SchedulingService, ServiceConfig};
@@ -279,15 +279,19 @@ fn report(
 /// reads the knobs that apply to it; unparsable values fail with a message.
 fn build_spec(args: &Args) -> Result<SchedulerSpec, String> {
     let epsilon = args.get_parse_opt("epsilon")?;
+    let limits = SearchLimits {
+        max_millis: args.get_parse_opt("budget-ms")?,
+        max_expansions: args.get_parse_opt("max-expansions")?,
+        ..Default::default()
+    };
     let mut spec = SchedulerSpec {
-        limits: SearchLimits {
-            max_millis: args.get_parse_opt("budget-ms")?,
-            max_expansions: args.get_parse_opt("max-expansions")?,
+        search: SearchConfig {
+            limits,
+            seed_incumbent: args.has("seed-incumbent"),
             ..Default::default()
         },
         epsilon: epsilon.unwrap_or(0.2),
         weight: args.get_parse("weight", 1.5)?,
-        seed_incumbent: args.has("seed-incumbent"),
         ..Default::default()
     };
     spec.parallel.num_ppes = args.get_parse("ppes", spec.parallel.num_ppes)?;
@@ -330,18 +334,26 @@ fn cmd_schedule(args: &Args) -> Result<ExitCode, String> {
         eprintln!("note: the search hit its budget; the schedule is the best incumbent, not proven optimal");
     }
     if !args.has("json") {
-        for (label, value) in &run.extras {
+        // One stats block for every family (the parallel one's totals are
+        // summed over its PPEs), then what only the family can say.
+        let s = &run.result.stats;
+        let elapsed_ms = format!("{:.3}", run.result.elapsed.as_secs_f64() * 1e3);
+        let stats = [
+            ("expanded", s.expanded.to_string()),
+            ("generated", s.generated.to_string()),
+            ("duplicates", (s.duplicates + s.duplicates_global).to_string()),
+            ("elapsed_ms", elapsed_ms),
+            ("peak_live_records", s.peak_live_records.to_string()),
+            ("reclaimed_records", s.reclaimed_records.to_string()),
+            ("path-cache hit rate", path_cache_hit_rate(s)),
+            ("path-cache ancestor hits", s.path_cache_ancestor_hits.to_string()),
+            ("replayed deltas saved", s.replayed_deltas_saved.to_string()),
+        ];
+        for (label, value) in stats {
             println!("{label:<15}: {value}");
         }
-        // The parallel family reports the arena-lifecycle counters among its
-        // extras; print them from the uniform stats for every other family.
-        if !run.extras.iter().any(|(k, _)| k == "peak_live_records") {
-            let s = &run.result.stats;
-            println!("{:<15}: {}", "peak_live_records", s.peak_live_records);
-            println!("{:<15}: {}", "reclaimed_records", s.reclaimed_records);
-            println!("{:<15}: {}", "path-cache hit rate", path_cache_hit_rate(s));
-            println!("{:<15}: {}", "path-cache ancestor hits", s.path_cache_ancestor_hits);
-            println!("{:<15}: {}", "replayed deltas saved", s.replayed_deltas_saved);
+        for (label, value) in &run.extras {
+            println!("{label:<15}: {value}");
         }
     }
     if let Some(path) = trace_out {

@@ -298,6 +298,19 @@ fn counter(stdout: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {name} counter in: {stdout}"))
 }
 
+/// Every family prints the same stats block: a search reports the states
+/// it expanded, generated and dropped as duplicates, and its elapsed time.
+fn assert_search_stats(stdout: &str) {
+    assert!(counter(stdout, "expanded") > 0, "stdout: {stdout}");
+    assert!(counter(stdout, "generated") > 0, "stdout: {stdout}");
+    counter(stdout, "duplicates");
+    let elapsed_ms = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("elapsed_ms"))
+        .and_then(|v| v.trim_start_matches([' ', ':']).trim().parse::<f64>().ok());
+    assert!(elapsed_ms.is_some_and(|ms| ms >= 0.0), "no elapsed_ms line in: {stdout}");
+}
+
 /// `parallel` runs one state store, the delta arena: it returns the serial
 /// optimum, reports the `peak_live_states` headline, and its replay-savings
 /// counter shows the path-cache bases banking skipped deltas.  The `--store`
@@ -359,6 +372,7 @@ fn arena_gc_knob_and_lifecycle_counters_from_the_cli() {
     assert!(stdout.contains("path-cache hit rate"), "stdout: {stdout}");
     assert!(counter(&stdout, "peak_live_records") > 0, "stdout: {stdout}");
     assert!(counter(&stdout, "reclaimed_records") > 0, "the default run reclaims dead chains");
+    assert_search_stats(&stdout);
     let serial_len = counter(&stdout, "schedule length");
 
     let par = run_with_stdin(
@@ -373,6 +387,7 @@ fn arena_gc_knob_and_lifecycle_counters_from_the_cli() {
     assert_eq!(counter(&stdout, "schedule length"), serial_len, "stdout: {stdout}");
     assert!(counter(&stdout, "reclaimed_records") > 0, "stdout: {stdout}");
     assert!(stdout.contains("path-cache hit rate"), "stdout: {stdout}");
+    assert_search_stats(&stdout);
 
     let bad = run_with_stdin(&["schedule", "--input", "-", "--arena-gc", "off"], &graph_json);
     assert!(!bad.status.success());

@@ -12,7 +12,7 @@ use optsched_schedule::Schedule;
 use optsched_taskgraph::Cost;
 
 use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{focal_threshold, run_search, FocalPolicy};
+use crate::engine::{focal_threshold, run_search, FocalPolicy, SearchConfig};
 use crate::problem::SchedulingProblem;
 use crate::stats::SearchResult;
 
@@ -23,11 +23,7 @@ use crate::stats::SearchResult;
 pub struct AEpsScheduler<'a> {
     problem: &'a SchedulingProblem,
     epsilon: f64,
-    pruning: PruningConfig,
-    heuristic: HeuristicKind,
-    limits: SearchLimits,
-    seed_incumbent: bool,
-    warm_start: Option<Schedule>,
+    config: SearchConfig,
 }
 
 impl<'a> AEpsScheduler<'a> {
@@ -39,15 +35,14 @@ impl<'a> AEpsScheduler<'a> {
     /// Panics if `epsilon` is negative or not finite.
     pub fn new(problem: &'a SchedulingProblem, epsilon: f64) -> Self {
         assert!(epsilon.is_finite() && epsilon >= 0.0, "epsilon must be a non-negative number");
-        AEpsScheduler {
-            problem,
-            epsilon,
-            pruning: PruningConfig::all(),
-            heuristic: HeuristicKind::PaperStaticLevel,
-            limits: SearchLimits::unlimited(),
-            seed_incumbent: false,
-            warm_start: None,
-        }
+        AEpsScheduler { problem, epsilon, config: SearchConfig::default() }
+    }
+
+    /// Replaces the whole search configuration: pruning, heuristic, limits,
+    /// seeding and warm start.
+    pub fn with_config(mut self, config: SearchConfig) -> Self {
+        self.config = config;
+        self
     }
 
     /// The approximation factor ε.
@@ -57,26 +52,27 @@ impl<'a> AEpsScheduler<'a> {
 
     /// Selects which pruning techniques to use.
     pub fn with_pruning(mut self, pruning: PruningConfig) -> Self {
-        self.pruning = pruning;
+        self.config.pruning = pruning;
         self
     }
 
     /// Selects the admissible heuristic.
     pub fn with_heuristic(mut self, heuristic: HeuristicKind) -> Self {
-        self.heuristic = heuristic;
+        self.config.heuristic = heuristic;
         self
     }
 
     /// Applies resource limits to the run.
     pub fn with_limits(mut self, limits: SearchLimits) -> Self {
-        self.limits = limits;
+        self.config.limits = limits;
         self
     }
 
     /// Treats the list-heuristic schedule as an attained incumbent (strict
-    /// upper-bound pruning; see [`run_search`]).  Off by default.
+    /// upper-bound pruning; see [`SearchConfig::seed_incumbent`]).  Off by
+    /// default.
     pub fn with_seeded_incumbent(mut self, seed: bool) -> Self {
-        self.seed_incumbent = seed;
+        self.config.seed_incumbent = seed;
         self
     }
 
@@ -84,7 +80,7 @@ impl<'a> AEpsScheduler<'a> {
     /// starting incumbent (adopted only when strictly better; must be
     /// feasible for this problem).
     pub fn with_warm_start(mut self, warm: Option<Schedule>) -> Self {
-        self.warm_start = warm;
+        self.config.warm_start = warm;
         self
     }
 
@@ -98,15 +94,8 @@ impl<'a> AEpsScheduler<'a> {
     /// [`SearchOutcome::Optimal`](crate::stats::SearchOutcome::Optimal)
     /// (which here means "completed within the configured bound").
     pub fn run(&self) -> SearchResult {
-        run_search(
-            self.problem,
-            FocalPolicy::new(self.epsilon, self.pruning.upper_bound_pruning),
-            self.pruning,
-            self.heuristic,
-            self.limits,
-            self.seed_incumbent,
-            self.warm_start.as_ref(),
-        )
+        let policy = FocalPolicy::new(self.epsilon, self.config.pruning.upper_bound_pruning);
+        run_search(self.problem, policy, &self.config)
     }
 }
 

@@ -22,7 +22,7 @@
 use optsched_schedule::Schedule;
 
 use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{run_search, AStarPolicy};
+use crate::engine::{run_search, AStarPolicy, SearchConfig};
 use crate::problem::SchedulingProblem;
 use crate::stats::SearchResult;
 
@@ -31,50 +31,46 @@ use crate::stats::SearchResult;
 #[derive(Debug, Clone)]
 pub struct AStarScheduler<'a> {
     problem: &'a SchedulingProblem,
-    pruning: PruningConfig,
-    heuristic: HeuristicKind,
-    limits: SearchLimits,
-    seed_incumbent: bool,
-    warm_start: Option<Schedule>,
+    config: SearchConfig,
 }
 
 impl<'a> AStarScheduler<'a> {
     /// A scheduler with every pruning technique enabled and the paper's heuristic.
     pub fn new(problem: &'a SchedulingProblem) -> Self {
-        AStarScheduler {
-            problem,
-            pruning: PruningConfig::all(),
-            heuristic: HeuristicKind::PaperStaticLevel,
-            limits: SearchLimits::unlimited(),
-            seed_incumbent: false,
-            warm_start: None,
-        }
+        AStarScheduler { problem, config: SearchConfig::default() }
+    }
+
+    /// Replaces the whole search configuration: pruning, heuristic, limits,
+    /// seeding and warm start.
+    pub fn with_config(mut self, config: SearchConfig) -> Self {
+        self.config = config;
+        self
     }
 
     /// Selects which pruning techniques to use.
     pub fn with_pruning(mut self, pruning: PruningConfig) -> Self {
-        self.pruning = pruning;
+        self.config.pruning = pruning;
         self
     }
 
     /// Selects the admissible heuristic.
     pub fn with_heuristic(mut self, heuristic: HeuristicKind) -> Self {
-        self.heuristic = heuristic;
+        self.config.heuristic = heuristic;
         self
     }
 
     /// Applies resource limits to the run.
     pub fn with_limits(mut self, limits: SearchLimits) -> Self {
-        self.limits = limits;
+        self.config.limits = limits;
         self
     }
 
     /// Treats the list-heuristic schedule as an *attained* incumbent, so the
     /// upper-bound rule prunes states that cannot strictly improve on it (see
-    /// [`run_search`]).  Off by default: the classic behaviour keeps states
-    /// whose `f` merely *equals* the upper bound.
+    /// [`SearchConfig::seed_incumbent`]).  Off by default: the classic
+    /// behaviour keeps states whose `f` merely *equals* the upper bound.
     pub fn with_seeded_incumbent(mut self, seed: bool) -> Self {
-        self.seed_incumbent = seed;
+        self.config.seed_incumbent = seed;
         self
     }
 
@@ -83,7 +79,7 @@ impl<'a> AStarScheduler<'a> {
     /// incumbent; adopted only when it beats the incumbent the run would
     /// otherwise start from.  The schedule must be feasible for this problem.
     pub fn with_warm_start(mut self, warm: Option<Schedule>) -> Self {
-        self.warm_start = warm;
+        self.config.warm_start = warm;
         self
     }
 
@@ -94,15 +90,8 @@ impl<'a> AStarScheduler<'a> {
 
     /// Runs the search to completion (or until a limit is hit).
     pub fn run(&self) -> SearchResult {
-        run_search(
-            self.problem,
-            AStarPolicy::new(self.pruning.upper_bound_pruning),
-            self.pruning,
-            self.heuristic,
-            self.limits,
-            self.seed_incumbent,
-            self.warm_start.as_ref(),
-        )
+        let policy = AStarPolicy::new(self.config.pruning.upper_bound_pruning);
+        run_search(self.problem, policy, &self.config)
     }
 }
 

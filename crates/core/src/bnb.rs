@@ -30,7 +30,7 @@ use optsched_schedule::Schedule;
 use optsched_taskgraph::{Cost, NodeId};
 
 use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{run_search, BoundPolicy};
+use crate::engine::{run_search, BoundPolicy, SearchConfig};
 use crate::problem::SchedulingProblem;
 use crate::state::SearchState;
 use crate::stats::{SearchResult, SearchStats};
@@ -52,35 +52,36 @@ const MAX_SEGMENTS_PER_EVALUATION: u64 = 4_000;
 #[derive(Debug, Clone)]
 pub struct ChenYuScheduler<'a> {
     problem: &'a SchedulingProblem,
-    limits: SearchLimits,
-    seed_incumbent: bool,
-    warm_start: Option<Schedule>,
+    /// No pruning technique and the zero heuristic: Chen & Yu's algorithm
+    /// predates the techniques, and its own bound replaces `h`.
+    config: SearchConfig,
 }
 
 impl<'a> ChenYuScheduler<'a> {
     /// Creates the baseline scheduler.
     pub fn new(problem: &'a SchedulingProblem) -> Self {
-        ChenYuScheduler {
-            problem,
-            limits: SearchLimits::unlimited(),
-            seed_incumbent: false,
-            warm_start: None,
-        }
+        let config = SearchConfig {
+            pruning: PruningConfig::none(),
+            heuristic: HeuristicKind::Zero,
+            ..SearchConfig::default()
+        };
+        ChenYuScheduler { problem, config }
     }
 
     /// Applies resource limits to the run.
     pub fn with_limits(mut self, limits: SearchLimits) -> Self {
-        self.limits = limits;
+        self.config.limits = limits;
         self
     }
 
     /// Starts the branch-and-bound elimination from the list-heuristic upper
     /// bound instead of the algorithm's native infinite incumbent (and prunes
-    /// strictly, since that bound is attained; see [`run_search`]).  This is
+    /// strictly, since that bound is attained; see
+    /// [`SearchConfig::seed_incumbent`]).  This is
     /// the classic "seed BnB with a heuristic solution" accelerator — off by
     /// default to preserve the faithful-to-Chen-&-Yu baseline.
     pub fn with_seeded_incumbent(mut self, seed: bool) -> Self {
-        self.seed_incumbent = seed;
+        self.config.seed_incumbent = seed;
         self
     }
 
@@ -89,7 +90,7 @@ impl<'a> ChenYuScheduler<'a> {
     /// the run would otherwise start from; must be feasible for this
     /// problem).
     pub fn with_warm_start(mut self, warm: Option<Schedule>) -> Self {
-        self.warm_start = warm;
+        self.config.warm_start = warm;
         self
     }
 
@@ -193,15 +194,7 @@ impl<'a> ChenYuScheduler<'a> {
                 delta.g.max(delta.finish + remaining)
             },
         );
-        run_search(
-            self.problem,
-            policy,
-            PruningConfig::none(),
-            HeuristicKind::Zero,
-            self.limits,
-            self.seed_incumbent,
-            self.warm_start.as_ref(),
-        )
+        run_search(self.problem, policy, &self.config)
     }
 
     /// Exposes the bound computation for tests and the benches (value and

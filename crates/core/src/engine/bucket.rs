@@ -20,7 +20,7 @@
 //!   implies every cost of an entry.  Dropping the queue frees the pool in
 //!   one piece and the map in one block per handful of keys.
 
-use std::collections::btree_map::{BTreeMap, Entry, OccupiedEntry};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use optsched_taskgraph::Cost;
 
@@ -77,9 +77,9 @@ struct Pool<E> {
 }
 
 impl<E: Copy> Pool<E> {
-    /// Stores `entry` in a node linked to `next`; returns the node.
-    fn alloc(&mut self, entry: &Queued<E>, next: u32) -> u32 {
-        let node = Node { seq: entry.seq, id: entry.id, next, extra: entry.extra };
+    /// Stores `entry` in a node that ends its group; returns the node.
+    fn alloc(&mut self, entry: &Queued<E>) -> u32 {
+        let node = Node { seq: entry.seq, id: entry.id, next: NIL, extra: entry.extra };
         self.live += 1;
         if self.free == NIL {
             let at = u32::try_from(self.nodes.len())
@@ -141,7 +141,7 @@ impl<E: Copy> BucketQueue<E> {
 
     /// Appends `entry` to the back of its key's group.
     pub fn push(&mut self, entry: Queued<E>) {
-        let at = self.pool.alloc(&entry, NIL);
+        let at = self.pool.alloc(&entry);
         match self.groups.entry(entry.key) {
             Entry::Vacant(group) => {
                 group.insert(Group { head: at, tail: at });
@@ -158,70 +158,24 @@ impl<E: Copy> BucketQueue<E> {
         }
     }
 
-    /// Puts `entry` at the front of its key's group: the place it left when
-    /// it was taken from that front, so the pop order is as if it had never
-    /// been taken.
-    pub fn push_front(&mut self, entry: Queued<E>) {
-        match self.groups.entry(entry.key) {
-            Entry::Vacant(group) => {
-                let at = self.pool.alloc(&entry, NIL);
-                group.insert(Group { head: at, tail: at });
-            }
-            Entry::Occupied(mut group) => {
-                let group = group.get_mut();
-                debug_assert!(entry.seq < self.pool.nodes[group.head as usize].seq);
-                group.head = self.pool.alloc(&entry, group.head);
-            }
-        }
-    }
-
     /// The entry [`BucketQueue::pop`] would return.
     pub fn peek(&self) -> Option<Queued<E>> {
         let (&key, group) = self.groups.first_key_value()?;
         Some(self.pool.nodes[group.head as usize].entry(key))
     }
 
-    /// Removes and returns the front entry of the smallest key's group.
+    /// Removes and returns the front entry of the smallest key's group,
+    /// dropping the group once it is empty.
     pub fn pop(&mut self) -> Option<Queued<E>> {
-        let group = self.groups.first_entry()?;
-        Some(take_front(&mut self.pool, group))
-    }
-
-    /// Removes and returns the front entry of `key`'s group, if any.
-    pub fn remove_front(&mut self, key: (Cost, Cost)) -> Option<Queued<E>> {
-        match self.groups.entry(key) {
-            Entry::Occupied(group) => Some(take_front(&mut self.pool, group)),
-            Entry::Vacant(_) => None,
+        let mut group = self.groups.first_entry()?;
+        let (entry, next) = self.pool.release(*group.key(), group.get().head);
+        if next == NIL {
+            group.remove();
+        } else {
+            group.get_mut().head = next;
         }
+        Some(entry)
     }
-
-    /// Every entry, in pop order.
-    pub fn iter(&self) -> impl Iterator<Item = Queued<E>> + '_ {
-        self.groups.iter().flat_map(move |(&key, group)| {
-            let mut at = group.head;
-            std::iter::from_fn(move || {
-                (at != NIL).then(|| {
-                    let node = self.pool.nodes[at as usize];
-                    at = node.next;
-                    node.entry(key)
-                })
-            })
-        })
-    }
-}
-
-/// Takes the front entry of `group`, dropping the group once it is empty.
-fn take_front<E: Copy>(
-    pool: &mut Pool<E>,
-    mut group: OccupiedEntry<'_, (Cost, Cost), Group>,
-) -> Queued<E> {
-    let (entry, next) = pool.release(*group.key(), group.get().head);
-    if next == NIL {
-        group.remove();
-    } else {
-        group.get_mut().head = next;
-    }
-    entry
 }
 
 #[cfg(test)]
@@ -250,7 +204,6 @@ mod tests {
             open.push(e);
         }
         assert_eq!(open.len(), 4);
-        assert_eq!(open.iter().map(|e| e.id).collect::<Vec<_>>(), [2, 3, 1, 0]);
         assert_eq!(open.peek(), Some(pushed[2]));
         assert_eq!(drain(&mut open), [pushed[2], pushed[3], pushed[1], pushed[0]]);
         assert!(open.is_empty() && open.peek().is_none() && open.pop().is_none());
@@ -270,24 +223,6 @@ mod tests {
             popped,
             [(big, u64::MAX - 1), (big, u64::MAX), (big + 1, 0), (u64::MAX - 1, 7), (u64::MAX, 0)]
         );
-    }
-
-    #[test]
-    fn push_front_and_remove_front_keep_the_order() {
-        let mut open = BucketQueue::new();
-        for (seq, key) in [(1, 1), (1, 1), (2, 0), (1, 1)].into_iter().enumerate() {
-            open.push(q(key, seq as StateId, seq as u64));
-        }
-        let first = open.pop().unwrap();
-        assert_eq!(first.id, 0);
-        open.push_front(first);
-        assert_eq!(open.iter().map(|e| e.id).collect::<Vec<_>>(), [0, 1, 3, 2]);
-        assert_eq!(open.remove_front((2, 0)).map(|e| e.id), Some(2));
-        assert_eq!(open.remove_front((2, 0)), None);
-        // A group emptied by pops comes back when its front is put back.
-        let all = drain(&mut open);
-        open.push_front(all[0]);
-        assert_eq!(drain(&mut open), [all[0]]);
     }
 
     #[test]

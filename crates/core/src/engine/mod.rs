@@ -5,39 +5,39 @@
 //! parallel scheduler — is one state-space search over partial schedules.
 //! This module implements that search **once**:
 //!
-//! * [`run_search`] is the single OPEN/CLOSED run loop: frontier selection,
-//!   duplicate detection, [`SearchLimits`] enforcement, incumbent /
-//!   upper-bound handling and [`SearchStats`] accounting.  What
+//! * [`Search::step`] is the only search step in the workspace: it pops the
+//!   policy's next state, materialises it, tests it for a goal, enforces the
+//!   [`SearchLimits`], and expands it through the per-child pipeline
+//!   (evaluate → bound-prune → duplicate-check → store).  What
 //!   differentiates the algorithms — child evaluation, bound pruning and
 //!   expansion order — lives behind the [`FrontierPolicy`] trait
-//!   ([`policy`]): `AStarScheduler`, `AEpsScheduler`, `ChenYuScheduler` and
-//!   `ExhaustiveScheduler` are thin configurations over it.
+//!   ([`policy`]).
+//! * [`run_search`] is the serial scheduler: a loop over [`Search::step`].
+//!   `AStarScheduler`, `AEpsScheduler`, `WAStarScheduler`, `ChenYuScheduler`
+//!   and `ExhaustiveScheduler` are thin configurations over it.  Each PPE of
+//!   the parallel scheduler drives the same step between its message
+//!   handling and communication phases, with its shared incumbent behind
+//!   the [`Incumbent`] hook and its CLOSED table behind [`DuplicateFilter`].
 //! * [`StateArena`] ([`arena`]) stores generated states as parent-id +
-//!   [`ChildDelta`] records and materialises a full
-//!   [`SearchState`] only when a state is selected for expansion, replacing
-//!   the clone-per-generation layout.  The arena is not tied to
-//!   [`run_search`]: the parallel scheduler's PPE workers each own one,
-//!   shipping states as delta chains ([`StateArena::extract_chain`] /
-//!   [`StateArena::adopt_chain`]) or, past a depth threshold, as snapshots
-//!   ([`StateArena::materialise_owned`] / [`StateArena::adopt_snapshot`]).
-//! * [`expand_state`] is the shared per-child admission pipeline
-//!   (evaluate → bound-prune → duplicate-check), parameterised by the
-//!   [`DuplicateFilter`] hook; the parallel scheduler's PPE workers drive the
-//!   same pipeline with their sharded global CLOSED table behind the hook.
-//! * [`SignatureSet`] is the serial hook: packed [`StateSignature`] words in
-//!   a chunked row slab, found through a flat index split into independently
-//!   growing parts.
-//! * [`BucketQueue`] ([`bucket`]) is OPEN for every best-first policy and for
-//!   the PPE workers: groups of equal integer keys, each a FIFO list of
-//!   16-byte pooled nodes under A\*.
+//!   [`ChildDelta`] records and materialises a full [`SearchState`] only when
+//!   a state is selected for expansion.  The parallel scheduler ships states
+//!   between the PPEs' arenas as delta chains
+//!   ([`StateArena::extract_chain`] / [`StateArena::adopt_chain`]) or, past
+//!   a depth threshold, as snapshots ([`StateArena::materialise_owned`] /
+//!   [`StateArena::adopt_snapshot`]).
+//! * [`SignatureSet`] is the serial duplicate filter: packed
+//!   [`StateSignature`] words in a chunked row slab, found through a flat
+//!   index split into independently growing parts.
+//! * [`BucketQueue`] ([`bucket`]) is OPEN for every best-first policy:
+//!   groups of equal integer keys, each a FIFO list of 16-byte pooled nodes
+//!   under A\*.
 
 pub mod arena;
 pub mod bucket;
 pub mod policy;
 mod seen;
 
-use std::cell::Cell;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use optsched_obs as obs;
 use optsched_schedule::Schedule;
@@ -68,53 +68,69 @@ pub trait DuplicateFilter {
     fn admit(&mut self, sig: StateSignature, g: Cost, stats: &mut SearchStats) -> bool;
 }
 
-/// The instance-wide inputs of an expansion step, shared by every child the
-/// step generates.
-#[derive(Debug, Clone, Copy)]
-pub struct ExpansionContext<'a> {
-    /// The problem being solved.
-    pub problem: &'a SchedulingProblem,
-    /// The Section 3.2 pruning techniques in force.
-    pub pruning: &'a PruningConfig,
-    /// The admissible heuristic evaluated for every child.
-    pub heuristic: HeuristicKind,
+/// Where a [`Search`] keeps the best complete schedule it knows.
+///
+/// A serial search owns its incumbent; the PPEs of the parallel scheduler
+/// share one, together with the work counted against the run's limits.
+pub trait Incumbent {
+    /// Makespan of the best complete schedule known: the bound generated
+    /// children are pruned against.
+    fn makespan(&self) -> Cost;
+
+    /// Offers a complete schedule of length `len`, built by `schedule` only
+    /// if it is kept.  It is kept when strictly shorter than the incumbent;
+    /// returns whether it was.
+    fn offer(&mut self, len: Cost, schedule: impl FnOnce() -> Schedule) -> bool;
+
+    /// A goal popped under a policy whose first popped goal is final
+    /// ([`FrontierPolicy::goal_on_pop_is_final`]).  Returns `true` when the
+    /// search ends on it, which a serial search does, taking the schedule
+    /// even at equal length.  A PPE only offers it and returns `false`: its
+    /// global termination test decides when the run ends.
+    fn settle(&mut self, len: Cost, schedule: impl FnOnce() -> Schedule) -> bool;
+
+    /// The expansions and generations counted against
+    /// [`SearchLimits::max_expansions`] and [`SearchLimits::max_generated`]:
+    /// the search's own, `own`, unless it shares its limits with other
+    /// searches.
+    fn work(&self, own: &SearchStats) -> (u64, u64) {
+        (own.expanded, own.generated)
+    }
 }
 
-/// The shared per-child admission pipeline: enumerates the expansion
-/// candidates of `state`, evaluates each child allocation-free via
-/// [`SearchState::peek_child`], applies `evaluate`'s bound pruning (a `None`
-/// is counted as [`SearchStats::pruned_upper_bound`]), rejects duplicates
-/// through the [`DuplicateFilter`] hook, and hands every surviving child to
-/// `admit`.
-///
-/// Both the serial [`run_search`] loop and the parallel scheduler's PPE
-/// workers generate children exclusively through this function.
-pub fn expand_state<D: DuplicateFilter>(
-    ctx: ExpansionContext<'_>,
-    state: &SearchState,
-    dup: &mut D,
-    stats: &mut SearchStats,
-    mut evaluate: impl FnMut(&SearchState, &ChildDelta, &mut SearchStats) -> Option<Cost>,
-    mut admit: impl FnMut(&SearchState, ChildDelta, Cost, &mut SearchStats),
-) {
-    let candidates = state.expansion_candidates(ctx.problem, ctx.pruning, stats);
-    if candidates.is_empty() {
-        return;
-    }
-    let parent_sig = state.signature();
-    for (node, proc) in candidates {
-        let delta = state.peek_child(ctx.problem, node, proc, ctx.heuristic);
-        stats.heuristic_evaluations += 1;
-        let Some(value) = evaluate(state, &delta, stats) else {
-            stats.pruned_upper_bound += 1;
-            continue;
-        };
-        let sig = parent_sig.with_assignment(delta.node, delta.proc, delta.start);
-        if !dup.admit(sig, delta.g, stats) {
-            continue;
-        }
-        admit(state, delta, value, stats);
-    }
+/// What a search takes besides the problem and the frontier policy.
+#[derive(Debug, Clone, Default)]
+pub struct SearchConfig {
+    /// The Section 3.2 pruning techniques in force.
+    pub pruning: PruningConfig,
+    /// The admissible heuristic evaluated for every child.
+    pub heuristic: HeuristicKind,
+    /// Resource limits; a limited run returns its incumbent as
+    /// [`SearchOutcome::LimitReached`].
+    pub limits: SearchLimits,
+    /// Treats the list-heuristic schedule as an *attained* incumbent from
+    /// the first expansion on.  The length the policy's bound pruning starts
+    /// from is capped at [`SchedulingProblem::upper_bound`] (the big win for
+    /// branch-and-bound, whose own initial bound is infinite), and the bound
+    /// handed to [`FrontierPolicy::evaluate`] is tightened by one, so
+    /// children that cannot *strictly* improve on a schedule the search
+    /// already holds are discarded.  Exhausting the frontier then *is* the
+    /// optimality proof for the incumbent (the evaluation is admissible and
+    /// only provably non-improving states were pruned), so such a run
+    /// reports [`SearchOutcome::Optimal`] instead of `Exhausted`.  The
+    /// tightened bound requires the policy to treat the passed incumbent
+    /// length as an inclusive upper bound (`value > bound` ⇒ prune), which
+    /// holds for every best-first policy here but *not* for [`DfsPolicy`]'s
+    /// special goal handling — the exhaustive enumerator therefore never
+    /// sets it (it effectively seeds already).  Off by default.
+    pub seed_incumbent: bool,
+    /// A complete schedule attained by an earlier run (a cache near-match,
+    /// a raced anytime leg), adopted as the starting incumbent only when it
+    /// beats the one the search would otherwise start from; `None`, and any
+    /// warm schedule that is no better, leaves the run unchanged.  The
+    /// caller must guarantee the schedule is feasible **for this problem**;
+    /// the engine trusts it the same way it trusts the list schedule.
+    pub warm_start: Option<Schedule>,
 }
 
 /// Expansions between wall-clock reads when enforcing
@@ -133,213 +149,316 @@ const TIME_CHECK_CADENCE: u64 = 1024;
 /// expansion, the anytime contract the service relies on).
 const TIME_CHECK_ALWAYS_BELOW_MS: u64 = 16;
 
-/// Runs a complete search over `problem` under the given frontier policy.
+/// What one [`Search::step`] did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Step {
+    /// Expanded a state and stored its surviving children.
+    Expanded,
+    /// Popped a complete schedule and offered it to the incumbent; the
+    /// search goes on.
+    Goal,
+    /// OPEN is empty.
+    Empty,
+    /// The search is over: a final goal was settled
+    /// ([`SearchOutcome::Optimal`]) or a limit stopped it.
+    Stop(SearchOutcome),
+}
+
+/// One best-first search: the state store, the duplicate filter, the
+/// frontier policy, the insertion counter, the statistics and the
+/// incumbent, advanced one state at a time by [`Search::step`].
 ///
-/// This is the only OPEN/CLOSED run loop in the workspace's serial
-/// schedulers: the state with the policy's best value is removed from the
-/// frontier; a goal either proves optimality or updates the incumbent
-/// (depending on the policy); otherwise the state is expanded through
-/// [`expand_state`] and the surviving children are stored in the
-/// [`StateArena`] and pushed back to the policy.
-///
-/// With `seed_incumbent` the list-heuristic schedule is treated as an
-/// *attained* incumbent from the first expansion on: the length the policy's
-/// bound pruning starts from is capped at [`SchedulingProblem::upper_bound`]
-/// (the big win for branch-and-bound, whose own initial bound is infinite),
-/// and the bound handed to [`FrontierPolicy::evaluate`] is tightened by one
-/// so children that cannot *strictly* improve on a schedule the search
-/// already holds are discarded.  Exhausting the frontier then *is* the
-/// optimality proof for the incumbent (the evaluation is admissible and only
-/// provably non-improving states were pruned), so such a run reports
-/// [`SearchOutcome::Optimal`] instead of `Exhausted`.  The tightened bound
-/// requires the policy to treat the passed incumbent length as an inclusive
-/// upper bound (`value > bound` ⇒ prune), which holds for every best-first
-/// policy here but *not* for [`DfsPolicy`]'s special goal handling — the
-/// exhaustive enumerator therefore never sets this flag (it effectively
-/// seeds already).  Off by default: with `false` the behaviour is
-/// bit-identical to the pre-knob engine.
-///
-/// `warm_start` optionally hands the search a complete schedule attained by
-/// an earlier run (a cache near-match, a raced anytime leg).  It is adopted
-/// as the starting incumbent only when it beats the incumbent the search
-/// would otherwise start from, so `None` — and any warm schedule that is no
-/// better — leaves the run bit-identical to the unwarmed one.  The caller
-/// must guarantee the schedule is feasible **for this problem**; the engine
-/// trusts it the same way it trusts the list schedule.
-pub fn run_search<P: FrontierPolicy>(
-    problem: &SchedulingProblem,
-    mut policy: P,
+/// The store, the filter, the policy and the statistics are public so that
+/// a PPE of the parallel scheduler can move states in and out between steps
+/// (its transfers and communication phase); states put on OPEN go through
+/// [`Search::push`], which keeps the insertion order.
+pub struct Search<'p, P, D, I> {
+    /// The problem being solved.
+    problem: &'p SchedulingProblem,
     pruning: PruningConfig,
     heuristic: HeuristicKind,
     limits: SearchLimits,
     seed_incumbent: bool,
-    warm_start: Option<&Schedule>,
-) -> SearchResult {
-    let start_time = Instant::now();
-    // Observability: one timeline track per run, a span covering the whole
-    // search, instants on every incumbent improvement and on the existing
-    // 1/1024 expansion cadence.  All of it is behind `obs::enabled()` — the
-    // disabled cost per site is a single relaxed atomic load.
-    let obs_track = if obs::enabled() { obs::next_track() } else { 0 };
-    let _obs_span = obs::span("run_search", obs_track);
-    let mut stats = SearchStats::default();
-    let mut arena = StateArena::new(problem, ArenaConfig);
-    let mut dup = SignatureSet::new();
-    let mut seq: u64 = 0;
+    /// Generated states, as parent + delta records.  Slot 0 holds the
+    /// initial (empty) state, the base every delta chain replays from.
+    pub arena: StateArena<'p>,
+    /// Duplicate detection for generated children.
+    pub dup: D,
+    /// OPEN and the algorithm's evaluation rule.
+    pub policy: P,
+    /// The counters of this search.
+    pub stats: SearchStats,
+    incumbent: I,
+    /// Insertion counter: the `seq` of the last entry pushed.
+    seq: u64,
+    /// The children of the state being expanded, kept until it is stored.
+    kept: Vec<(ChildDelta, Cost)>,
+    started: Instant,
+    track: u64,
+}
 
-    // Incumbent: best complete schedule known so far.  The schedule starts
-    // as the list-heuristic schedule so a limit-bounded run always returns a
-    // feasible result; the *length* the bound pruning starts from is the
-    // policy's choice (the list upper bound for the A* family, infinite for
-    // branch-and-bound elimination without an external bound) unless the
-    // seeded mode caps it at the list upper bound, which that schedule
-    // attains.
-    let mut incumbent: Schedule = problem.upper_bound_schedule().clone();
-    let mut initial_len = if seed_incumbent {
-        policy.initial_incumbent_len(problem).min(problem.upper_bound())
-    } else {
-        policy.initial_incumbent_len(problem)
-    };
-    if let Some(warm) = warm_start {
-        let warm_len = warm.makespan();
-        if warm_len < initial_len {
-            incumbent = warm.clone();
-            initial_len = warm_len;
+impl<'p, P: FrontierPolicy, D: DuplicateFilter, I: Incumbent> Search<'p, P, D, I> {
+    /// A search over `problem` with an empty OPEN and the initial state
+    /// stored in slot 0 of the arena.  Its clock, which
+    /// [`SearchLimits::max_millis`] is measured on, starts here.
+    /// `config.warm_start` is the incumbent's business and is not read.
+    pub fn new(
+        problem: &'p SchedulingProblem,
+        policy: P,
+        dup: D,
+        incumbent: I,
+        config: &SearchConfig,
+    ) -> Self {
+        let mut arena = StateArena::new(problem, ArenaConfig);
+        arena.insert_root(SearchState::initial(problem));
+        Search {
+            problem,
+            pruning: config.pruning,
+            heuristic: config.heuristic,
+            limits: config.limits,
+            seed_incumbent: config.seed_incumbent,
+            arena,
+            dup,
+            policy,
+            stats: SearchStats::default(),
+            incumbent,
+            seq: 0,
+            kept: Vec::new(),
+            started: Instant::now(),
+            // One timeline track per search; the callers open their span on
+            // it.  All of the observability is behind `obs::enabled()`.
+            track: if obs::enabled() { obs::next_track() } else { 0 },
         }
     }
-    let incumbent_len = Cell::new(initial_len);
-    // The bound handed to the policy: inclusive of the incumbent length
-    // normally, strictly below it when the incumbent is known to be attained.
-    let prune_bound =
-        |len: Cost| if seed_incumbent { len.saturating_sub(1) } else { len };
 
-    let goal_is_final = policy.goal_on_pop_is_final();
-    let track_goals = policy.track_goals_at_generation();
-    let goal_depth = problem.num_nodes() as u16;
+    /// The search's timeline track (see [`optsched_obs`]).
+    pub fn track(&self) -> u64 {
+        self.track
+    }
 
-    let root_id = arena.insert_root(SearchState::initial(problem));
-    policy.push(OpenEntry { id: root_id, f: 0, h: 0, value: 0, seq });
-    stats.generated += 1;
+    /// Time since the search was created.
+    pub fn elapsed(&self) -> Duration {
+        self.started.elapsed()
+    }
 
-    let mut kept: Vec<(ChildDelta, Cost)> = Vec::new();
-    let outcome = loop {
-        let Some(entry) = policy.pop() else {
-            break SearchOutcome::Exhausted;
+    /// Puts arena state `id` on OPEN with the next insertion number;
+    /// `value` is what the policy's evaluation returned for it.
+    pub fn push(&mut self, id: StateId, f: Cost, h: Cost, value: Cost) {
+        self.seq += 1;
+        self.policy.push(OpenEntry { id, f, h, value, seq: self.seq });
+    }
+
+    /// Advances the search by one state: pops the policy's next state and
+    /// materialises it.  A goal either ends the search (a best-first policy
+    /// settles it) or is offered to the incumbent.  Any other state is
+    /// checked against the limits — the expansion and generation caps, the
+    /// clock and the target cost, in that order — and then expanded: each
+    /// child is evaluated allocation-free, bound-pruned by the policy
+    /// against the incumbent and checked for duplicates; the survivors are
+    /// stored in the arena and pushed.  Finally the popped state's record
+    /// is released.
+    ///
+    /// The clock is read on the first expansion, on every expansion when
+    /// the budget is at most 16 ms, and every 1024 expansions otherwise.
+    pub fn step(&mut self) -> Step {
+        let Some(entry) = self.policy.pop() else {
+            return Step::Empty;
         };
-        stats.max_open_size = stats.max_open_size.max(policy.open_len() + 1);
+        self.stats.max_open_size = self.stats.max_open_size.max(self.policy.open_len() + 1);
+        let problem = self.problem;
+        let state = self.arena.materialise(entry.id);
 
-        kept.clear();
-        {
-            let state = arena.materialise(entry.id);
+        if state.is_goal(problem) {
+            let g = state.g();
+            let to_schedule = || state.to_schedule(problem);
+            if self.policy.goal_on_pop_is_final() {
+                if self.incumbent.settle(g, to_schedule) {
+                    obs::instant("incumbent", self.track, "makespan", g);
+                    return Step::Stop(SearchOutcome::Optimal);
+                }
+            } else if self.incumbent.offer(g, to_schedule) {
+                obs::instant("incumbent", self.track, "makespan", g);
+            }
+            self.arena.release(entry.id);
+            return Step::Goal;
+        }
 
-            // Goal test at expansion time: under a best-first policy the
-            // first goal removed from OPEN is optimal; under an enumerating
-            // policy it only updates the incumbent (and, with `kept` empty,
-            // falls through to the handle release below).
-            if state.is_goal(problem) {
-                if goal_is_final {
-                    incumbent = state.to_schedule(problem);
-                    obs::instant("incumbent", obs_track, "makespan", state.g());
-                    break SearchOutcome::Optimal;
-                }
-                if state.g() < incumbent_len.get() {
-                    incumbent_len.set(state.g());
-                    incumbent = state.to_schedule(problem);
-                    obs::instant("incumbent", obs_track, "makespan", state.g());
-                }
-            } else {
-                // Limits.
-                if let Some(max_exp) = limits.max_expansions {
-                    if stats.expanded >= max_exp {
-                        break SearchOutcome::LimitReached;
-                    }
-                }
-                if let Some(max_gen) = limits.max_generated {
-                    if stats.generated >= max_gen {
-                        break SearchOutcome::LimitReached;
-                    }
-                }
-                if let Some(ms) = limits.max_millis {
-                    // The clock is read on a cadence, not per expansion: the
-                    // first pop (expanded == 0) always checks, so a 0 ms
-                    // budget still stops before any work, and tiny budgets
-                    // keep the per-expansion check.
-                    let check_now = ms <= TIME_CHECK_ALWAYS_BELOW_MS
-                        || stats.expanded % TIME_CHECK_CADENCE == 0;
-                    if check_now && start_time.elapsed().as_millis() as u64 >= ms {
-                        break SearchOutcome::LimitReached;
-                    }
-                }
-                if let Some(target) = limits.target_cost {
-                    if incumbent_len.get() <= target {
-                        break SearchOutcome::TargetReached;
-                    }
-                }
+        let limit = limit_reached(&self.limits, self.started, &self.stats, &self.incumbent);
+        if let Some(outcome) = limit {
+            return Step::Stop(outcome);
+        }
+        self.stats.expanded += 1;
+        if self.stats.expanded % TIME_CHECK_CADENCE == 0 && obs::enabled() {
+            obs::instant("expansion_rate", self.track, "expanded", self.stats.expanded);
+        }
 
-                stats.expanded += 1;
-                if obs::enabled() && stats.expanded % TIME_CHECK_CADENCE == 0 {
-                    obs::instant("expansion_rate", obs_track, "expanded", stats.expanded);
+        self.kept.clear();
+        let candidates = state.expansion_candidates(problem, &self.pruning, &mut self.stats);
+        if !candidates.is_empty() {
+            let parent_sig = state.signature();
+            let track_goals = self.policy.track_goals_at_generation();
+            let goal_depth = problem.num_nodes() as u16;
+            for (node, proc) in candidates {
+                let delta = state.peek_child(problem, node, proc, self.heuristic);
+                self.stats.heuristic_evaluations += 1;
+                // The bound is inclusive of the incumbent length, or strictly
+                // below it when the incumbent is known to be attained.
+                let len = self.incumbent.makespan();
+                let bound = if self.seed_incumbent { len.saturating_sub(1) } else { len };
+                let value = self.policy.evaluate(problem, state, &delta, bound, &mut self.stats);
+                let Some(value) = value else {
+                    self.stats.pruned_upper_bound += 1;
+                    continue;
+                };
+                let sig = parent_sig.with_assignment(delta.node, delta.proc, delta.start);
+                if !self.dup.admit(sig, delta.g, &mut self.stats) {
+                    continue;
                 }
-                expand_state(
-                    ExpansionContext { problem, pruning: &pruning, heuristic },
-                    state,
-                    &mut dup,
-                    &mut stats,
-                    |parent, delta, stats| {
-                        policy.evaluate(
-                            problem,
-                            parent,
-                            delta,
-                            prune_bound(incumbent_len.get()),
-                            stats,
-                        )
-                    },
-                    |parent, delta, value, _stats| {
-                        // Track incumbents discovered at generation time so the
-                        // bound tightens within this expansion and a
-                        // limit-bounded run still returns its best schedule.
-                        if track_goals
-                            && parent.depth() + 1 == goal_depth
-                            && delta.g < incumbent_len.get()
-                        {
-                            incumbent_len.set(delta.g);
-                            incumbent = parent.apply_delta(problem, &delta).to_schedule(problem);
-                            obs::instant("incumbent", obs_track, "makespan", delta.g);
-                        }
-                        kept.push((delta, value));
-                    },
-                );
+                // A goal found at generation tightens the bound for the rest
+                // of the expansion, and a limited run still returns it.
+                if track_goals
+                    && state.depth() + 1 == goal_depth
+                    && self.incumbent.offer(delta.g, || {
+                        state.apply_delta(problem, &delta).to_schedule(problem)
+                    })
+                {
+                    obs::instant("incumbent", self.track, "makespan", delta.g);
+                }
+                self.kept.push((delta, value));
             }
         }
 
-        for &(delta, value) in &kept {
-            seq += 1;
-            let id = arena.insert_child(entry.id, &delta);
-            policy.push(OpenEntry { id, f: delta.f(), h: delta.h, value, seq });
-            stats.generated += 1;
+        for &(delta, value) in &self.kept {
+            self.seq += 1;
+            let id = self.arena.insert_child(entry.id, &delta);
+            self.policy.push(OpenEntry { id, f: delta.f(), h: delta.h, value, seq: self.seq });
+            self.stats.generated += 1;
         }
         // The popped state is dead to the frontier: its kept children (if
         // any) hold it alive through their parent links; pruned-out or
         // childless states are reclaimed here, cascading up their dead
         // chains.
-        arena.release(entry.id);
-    };
+        self.arena.release(entry.id);
+        Step::Expanded
+    }
 
-    // A seeded search that exhausted its frontier has *proved* that nothing
-    // strictly better than the incumbent exists: report the proof.
-    let outcome = if seed_incumbent && outcome == SearchOutcome::Exhausted {
-        SearchOutcome::Optimal
-    } else {
-        outcome
-    };
+    /// Ends the search: returns its statistics, with the arena's record
+    /// counters, and its incumbent.
+    pub fn finish(mut self) -> (SearchStats, I) {
+        self.arena.record_stats(&mut self.stats);
+        (self.stats, self.incumbent)
+    }
+}
 
-    arena.record_stats(&mut stats);
+/// The limit that stops the search before its next expansion, if any.
+fn limit_reached(
+    limits: &SearchLimits,
+    started: Instant,
+    stats: &SearchStats,
+    incumbent: &impl Incumbent,
+) -> Option<SearchOutcome> {
+    if let Some(max_exp) = limits.max_expansions {
+        if incumbent.work(stats).0 >= max_exp {
+            return Some(SearchOutcome::LimitReached);
+        }
+    }
+    if let Some(max_gen) = limits.max_generated {
+        if incumbent.work(stats).1 >= max_gen {
+            return Some(SearchOutcome::LimitReached);
+        }
+    }
+    if let Some(ms) = limits.max_millis {
+        // The first pop (expanded == 0) always checks, so a 0 ms budget
+        // still stops before any work.
+        let check_now =
+            ms <= TIME_CHECK_ALWAYS_BELOW_MS || stats.expanded % TIME_CHECK_CADENCE == 0;
+        if check_now && started.elapsed().as_millis() as u64 >= ms {
+            return Some(SearchOutcome::LimitReached);
+        }
+    }
+    if let Some(target) = limits.target_cost {
+        if incumbent.makespan() <= target {
+            return Some(SearchOutcome::TargetReached);
+        }
+    }
+    None
+}
+
+/// A serial search's own incumbent, starting from the list schedule.
+struct LocalIncumbent {
+    len: Cost,
+    schedule: Schedule,
+}
+
+impl Incumbent for LocalIncumbent {
+    fn makespan(&self) -> Cost {
+        self.len
+    }
+
+    fn offer(&mut self, len: Cost, schedule: impl FnOnce() -> Schedule) -> bool {
+        let better = len < self.len;
+        if better {
+            self.len = len;
+            self.schedule = schedule();
+        }
+        better
+    }
+
+    fn settle(&mut self, len: Cost, schedule: impl FnOnce() -> Schedule) -> bool {
+        self.len = len;
+        self.schedule = schedule();
+        true
+    }
+}
+
+/// Runs a complete serial search over `problem` under the given frontier
+/// policy: a loop over [`Search::step`] from the initial state until a final
+/// goal, an empty OPEN or a limit.
+///
+/// The incumbent starts as the list-heuristic schedule, so a limited run
+/// always returns a feasible result.  The *length* the bound pruning starts
+/// from is the policy's choice
+/// ([`FrontierPolicy::initial_incumbent_len`]), capped at the list upper
+/// bound under [`SearchConfig::seed_incumbent`], and replaced by
+/// [`SearchConfig::warm_start`] when that is shorter.  A seeded search that
+/// exhausts its frontier has proved that nothing strictly better than the
+/// incumbent exists and reports [`SearchOutcome::Optimal`].
+pub fn run_search<P: FrontierPolicy>(
+    problem: &SchedulingProblem,
+    policy: P,
+    config: &SearchConfig,
+) -> SearchResult {
+    let mut incumbent = LocalIncumbent {
+        len: policy.initial_incumbent_len(problem),
+        schedule: problem.upper_bound_schedule().clone(),
+    };
+    if config.seed_incumbent {
+        incumbent.len = incumbent.len.min(problem.upper_bound());
+    }
+    if let Some(warm) = &config.warm_start {
+        incumbent.offer(warm.makespan(), || warm.clone());
+    }
+    let mut search = Search::new(problem, policy, SignatureSet::new(), incumbent, config);
+    let _obs_span = obs::span("run_search", search.track());
+    search.push(0, 0, 0, 0); // the initial state, in slot 0
+    search.stats.generated += 1;
+
+    let outcome = loop {
+        match search.step() {
+            Step::Expanded | Step::Goal => {}
+            Step::Empty if config.seed_incumbent => break SearchOutcome::Optimal,
+            Step::Empty => break SearchOutcome::Exhausted,
+            Step::Stop(outcome) => break outcome,
+        }
+    };
+    let elapsed = search.elapsed();
+    let (stats, incumbent) = search.finish();
     SearchResult {
-        schedule_length: incumbent.makespan(),
-        schedule: Some(incumbent),
+        schedule_length: incumbent.schedule.makespan(),
+        schedule: Some(incumbent.schedule),
         outcome,
         stats,
-        elapsed: start_time.elapsed(),
+        elapsed,
     }
 }
 
@@ -369,15 +488,12 @@ mod tests {
     #[test]
     fn dfs_policy_enumerates_to_the_optimum() {
         let problem = example_problem();
-        let r = run_search(
-            &problem,
-            DfsPolicy::new(),
-            PruningConfig::none(),
-            HeuristicKind::Zero,
-            SearchLimits::unlimited(),
-            false,
-            None,
-        );
+        let config = SearchConfig {
+            pruning: PruningConfig::none(),
+            heuristic: HeuristicKind::Zero,
+            ..SearchConfig::default()
+        };
+        let r = run_search(&problem, DfsPolicy::new(), &config);
         assert_eq!(r.outcome, SearchOutcome::Exhausted);
         assert_eq!(r.schedule_length, 14);
     }
@@ -393,15 +509,7 @@ mod tests {
         // an append-only arena keeps one record per generated state.
         const APPEND_ONLY: (u64, u64, u64, u64, u64) = (34, 62, 11, 62, 99);
         let problem = example_problem();
-        let r = run_search(
-            &problem,
-            AStarPolicy::new(true),
-            PruningConfig::all(),
-            HeuristicKind::PaperStaticLevel,
-            SearchLimits::unlimited(),
-            false,
-            None,
-        );
+        let r = run_search(&problem, AStarPolicy::new(true), &SearchConfig::default());
         let (expanded, generated, duplicates, peak_live_records, replayed_deltas) = APPEND_ONLY;
         assert_eq!(r.schedule_length, 14);
         assert_eq!(
@@ -432,16 +540,9 @@ mod tests {
     #[test]
     fn seeded_incumbent_stays_exact_and_never_expands_more() {
         let problem = example_problem();
-        let run = |seed| {
-            run_search(
-                &problem,
-                AStarPolicy::new(true),
-                PruningConfig::all(),
-                HeuristicKind::PaperStaticLevel,
-                SearchLimits::unlimited(),
-                seed,
-                None,
-            )
+        let run = |seed_incumbent| {
+            let config = SearchConfig { seed_incumbent, ..SearchConfig::default() };
+            run_search(&problem, AStarPolicy::new(true), &config)
         };
         let plain = run(false);
         let seeded = run(true);
@@ -468,15 +569,9 @@ mod tests {
     fn warm_start_only_ever_tightens_the_incumbent() {
         let problem = example_problem();
         let run = |warm: Option<&Schedule>| {
-            run_search(
-                &problem,
-                AStarPolicy::new(true),
-                PruningConfig::all(),
-                HeuristicKind::PaperStaticLevel,
-                SearchLimits::unlimited(),
-                true,
-                warm,
-            )
+            let warm_start = warm.cloned();
+            let config = SearchConfig { seed_incumbent: true, warm_start, ..SearchConfig::default() };
+            run_search(&problem, AStarPolicy::new(true), &config)
         };
         let plain = run(None);
         assert_eq!(plain.schedule_length, 14);

@@ -1,9 +1,9 @@
 //! Frontier policies: the per-algorithm part of the unified search engine.
 //!
-//! The [`run_search`](crate::engine::run_search) loop owns everything the
-//! four serial scheduler families share — OPEN/CLOSED bookkeeping, duplicate
-//! detection, limit enforcement, incumbent tracking, statistics.  What makes
-//! A\*, Aε\*, Chen & Yu branch-and-bound and exhaustive enumeration different
+//! [`Search::step`](crate::engine::Search::step) owns everything the
+//! scheduler families share — OPEN/CLOSED bookkeeping, duplicate detection,
+//! limit enforcement, incumbent tracking, statistics.  What makes A\*,
+//! Aε\*, Chen & Yu branch-and-bound and exhaustive enumeration different
 //! algorithms is captured by the [`FrontierPolicy`] trait: how a generated
 //! child is *evaluated* (and bound-pruned), and in which *order* frontier
 //! states are selected for expansion.  Each policy below is a few dozen
@@ -72,6 +72,22 @@ pub trait FrontierPolicy {
     /// equals, field for field, the one pushed for that state.
     fn pop(&mut self) -> Option<OpenEntry>;
 
+    /// The entry [`FrontierPolicy::pop`] would return next, left in OPEN.
+    /// A PPE of the parallel scheduler reads it for its best-state
+    /// election; the serial loop never calls it.
+    fn peek(&mut self) -> Option<OpenEntry>;
+
+    /// The smallest `f` in OPEN (`None` when OPEN is empty), which a PPE of
+    /// the parallel scheduler publishes for its global termination test;
+    /// the serial loop never calls it.  The default is the `f` of the next
+    /// entry: the smallest for a policy that pops in `f` order, such as
+    /// [`AStarPolicy`], but not for [`WeightedAStarPolicy`],
+    /// [`BoundPolicy`] or [`DfsPolicy`].  [`FocalPolicy`], whose next entry
+    /// may come from FOCAL, overrides it with its `fmin`.
+    fn min_f(&mut self) -> Option<Cost> {
+        self.peek().map(|e| e.f)
+    }
+
     /// Current frontier size (may include lazily deleted entries).
     fn open_len(&self) -> usize;
 
@@ -109,6 +125,11 @@ impl AStarPolicy {
     pub fn new(prune_upper_bound: bool) -> AStarPolicy {
         AStarPolicy { open: BucketQueue::new(), prune_upper_bound }
     }
+
+    fn entry(e: Queued) -> OpenEntry {
+        let (f, h) = e.key;
+        OpenEntry { id: e.id, f, h, value: f, seq: e.seq }
+    }
 }
 
 impl FrontierPolicy for AStarPolicy {
@@ -130,9 +151,11 @@ impl FrontierPolicy for AStarPolicy {
     }
 
     fn pop(&mut self) -> Option<OpenEntry> {
-        let e = self.open.pop()?;
-        let (f, h) = e.key;
-        Some(OpenEntry { id: e.id, f, h, value: f, seq: e.seq })
+        self.open.pop().map(AStarPolicy::entry)
+    }
+
+    fn peek(&mut self) -> Option<OpenEntry> {
+        self.open.peek().map(AStarPolicy::entry)
     }
 
     fn open_len(&self) -> usize {
@@ -150,8 +173,8 @@ impl FrontierPolicy for AStarPolicy {
 /// deep states earlier.  That makes the policy ideal under a wall-clock
 /// deadline: an interrupted run's incumbent is much more likely to be a real
 /// improvement over the list schedule.  At `w = 1` the ordering key
-/// `(g + h, h, FIFO)` coincides with [`AStarPolicy`]'s and the search is
-/// *bit-identical* to A\* (pinned by the conformance suite).
+/// `(g + h, h, FIFO)` coincides with [`AStarPolicy`]'s for every cost and
+/// the search is *bit-identical* to A\* (pinned by the conformance suite).
 #[derive(Debug)]
 pub struct WeightedAStarPolicy {
     /// Keyed `(value, h)`, carrying `f`.
@@ -171,9 +194,20 @@ impl WeightedAStarPolicy {
         WeightedAStarPolicy { open: BucketQueue::new(), weight, prune_upper_bound }
     }
 
-    /// The inflated ordering key `g + round(w · h)`.
+    /// The inflated ordering key `g + round(w · h)`.  At `w = 1` it is
+    /// exactly `g + h`: rounding through `f64` would lose integers above
+    /// 2^53.  A larger weight saturates at `Cost::MAX` instead of wrapping.
     fn inflated(&self, g: Cost, h: Cost) -> Cost {
-        g + (self.weight * h as f64).round() as Cost
+        if self.weight == 1.0 {
+            g + h
+        } else {
+            g.saturating_add((self.weight * h as f64).round() as Cost)
+        }
+    }
+
+    fn entry(e: Queued<Cost>) -> OpenEntry {
+        let (value, h) = e.key;
+        OpenEntry { id: e.id, f: e.extra, h, value, seq: e.seq }
     }
 }
 
@@ -198,9 +232,11 @@ impl FrontierPolicy for WeightedAStarPolicy {
     }
 
     fn pop(&mut self) -> Option<OpenEntry> {
-        let e = self.open.pop()?;
-        let (value, h) = e.key;
-        Some(OpenEntry { id: e.id, f: e.extra, h, value, seq: e.seq })
+        self.open.pop().map(WeightedAStarPolicy::entry)
+    }
+
+    fn peek(&mut self) -> Option<OpenEntry> {
+        self.open.peek().map(WeightedAStarPolicy::entry)
     }
 
     fn open_len(&self) -> usize {
@@ -266,6 +302,39 @@ impl FocalPolicy {
         }
         self.in_open[i] = seq;
     }
+
+    /// The live front of the `f` ordering (`fmin`'s entry), after
+    /// discarding the entries already taken through FOCAL.
+    fn front_f(&mut self) -> Option<Queued<Cost>> {
+        loop {
+            let e = self.open_f.peek()?;
+            if self.is_open(&e) {
+                return Some(e);
+            }
+            self.open_f.pop();
+        }
+    }
+
+    /// The entry to expand next, and whether it is the front of the `(h, f)`
+    /// ordering (else of the `f` one): the smallest-`h` state if it lies
+    /// within FOCAL, else the smallest-`f` state (which trivially does).
+    fn next(&mut self) -> Option<(OpenEntry, bool)> {
+        let front = self.front_f()?;
+        let threshold = focal_threshold(self.epsilon, front.key.0);
+        while let Some(e) = self.open_h.peek() {
+            if !self.is_open(&e) {
+                self.open_h.pop();
+                continue;
+            }
+            let (h, f) = e.key;
+            if f <= threshold {
+                return Some((OpenEntry { id: e.id, f, h, value: f, seq: e.seq }, true));
+            }
+            break;
+        }
+        let f = front.key.0;
+        Some((OpenEntry { id: front.id, f, h: front.extra, value: f, seq: front.seq }, false))
+    }
 }
 
 impl FrontierPolicy for FocalPolicy {
@@ -289,38 +358,24 @@ impl FrontierPolicy for FocalPolicy {
     }
 
     fn pop(&mut self) -> Option<OpenEntry> {
-        // Discard stale entries from the f ordering and read fmin.
-        let fmin = loop {
-            let e = self.open_f.peek()?;
-            if self.is_open(&e) {
-                break e.key.0;
-            }
+        let (entry, focal) = self.next()?;
+        if focal {
+            self.open_h.pop();
+        } else {
             self.open_f.pop();
-        };
-        let threshold = focal_threshold(self.epsilon, fmin);
-
-        // Prefer the smallest-h state within FOCAL; fall back to the
-        // smallest-f state (which is trivially in FOCAL).
-        let mut chosen = None;
-        while let Some(e) = self.open_h.peek() {
-            if !self.is_open(&e) {
-                self.open_h.pop();
-                continue;
-            }
-            let (h, f) = e.key;
-            if f <= threshold {
-                self.open_h.pop();
-                chosen = Some(OpenEntry { id: e.id, f, h, value: f, seq: e.seq });
-            }
-            break;
         }
-        let entry = chosen.unwrap_or_else(|| {
-            let e = self.open_f.pop().expect("fmin was just observed");
-            let f = e.key.0;
-            OpenEntry { id: e.id, f, h: e.extra, value: f, seq: e.seq }
-        });
         self.mark(entry.id, NO_OPEN_SEQ);
         Some(entry)
+    }
+
+    fn peek(&mut self) -> Option<OpenEntry> {
+        self.next().map(|(entry, _)| entry)
+    }
+
+    /// `fmin`, the smallest `f` of a live entry: below the `f` of the next
+    /// entry whenever that comes from FOCAL.
+    fn min_f(&mut self) -> Option<Cost> {
+        self.front_f().map(|e| e.key.0)
     }
 
     fn open_len(&self) -> usize {
@@ -348,6 +403,11 @@ where
     pub fn new(bound: F) -> BoundPolicy<F> {
         BoundPolicy { open: BucketQueue::new(), bound }
     }
+
+    fn entry(e: Queued<(Cost, Cost)>) -> OpenEntry {
+        let (f, h) = e.extra;
+        OpenEntry { id: e.id, f, h, value: e.key.0, seq: e.seq }
+    }
 }
 
 impl<F> FrontierPolicy for BoundPolicy<F>
@@ -371,9 +431,11 @@ where
     }
 
     fn pop(&mut self) -> Option<OpenEntry> {
-        let e = self.open.pop()?;
-        let (f, h) = e.extra;
-        Some(OpenEntry { id: e.id, f, h, value: e.key.0, seq: e.seq })
+        self.open.pop().map(BoundPolicy::<F>::entry)
+    }
+
+    fn peek(&mut self) -> Option<OpenEntry> {
+        self.open.peek().map(BoundPolicy::<F>::entry)
     }
 
     fn open_len(&self) -> usize {
@@ -423,6 +485,10 @@ impl FrontierPolicy for DfsPolicy {
 
     fn pop(&mut self) -> Option<OpenEntry> {
         self.stack.pop()
+    }
+
+    fn peek(&mut self) -> Option<OpenEntry> {
+        self.stack.last().copied()
     }
 
     fn open_len(&self) -> usize {
@@ -481,6 +547,66 @@ mod tests {
         p.push(OpenEntry { id: 1, f: 10, h: 1, value: 9 + 2, seq: 1 });
         assert_eq!(p.pop().unwrap().id, 1);
         assert_eq!(p.pop().unwrap().id, 0);
+    }
+
+    /// Above 2^53 an `f64` cannot hold every integer: at `w = 1` the key
+    /// must still be exactly `f`, and a larger weight saturates.
+    #[test]
+    fn weighted_policy_at_one_keys_by_f_above_2_pow_53() {
+        use optsched_procnet::{ProcId, ProcNetwork};
+        use optsched_taskgraph::{paper_example_dag, NodeId};
+
+        let problem = SchedulingProblem::new(paper_example_dag(), ProcNetwork::ring(3));
+        let parent = SearchState::initial(&problem);
+        let (node, proc) = (NodeId(0), ProcId(0));
+        let delta = ChildDelta { node, proc, start: 0, finish: 5, g: 5, h: (1 << 53) + 1 };
+        let mut stats = SearchStats::default();
+        let mut p = WeightedAStarPolicy::new(1.0, true);
+        let value = p.evaluate(&problem, &parent, &delta, Cost::MAX, &mut stats);
+        assert_eq!(value, Some(delta.f()));
+        assert_eq!(WeightedAStarPolicy::new(2.0, true).inflated(Cost::MAX - 1, 10), Cost::MAX);
+    }
+
+    #[test]
+    fn peek_returns_the_entry_pop_returns_next() {
+        let no_bound =
+            |_: &SchedulingProblem, _: &SearchState, _: &ChildDelta, _: &mut SearchStats| 0;
+        let policies: [Box<dyn FrontierPolicy>; 5] = [
+            Box::new(AStarPolicy::new(true)),
+            Box::new(WeightedAStarPolicy::new(2.0, true)),
+            Box::new(FocalPolicy::new(0.5, true)),
+            Box::new(BoundPolicy::new(no_bound)),
+            Box::new(DfsPolicy::new()),
+        ];
+        for mut p in policies {
+            for (id, (f, h)) in [(10, 9), (14, 1), (12, 3), (16, 0)].into_iter().enumerate() {
+                p.push(entry(id as StateId, f, h, id as u64));
+            }
+            while let Some(next) = p.peek() {
+                assert_eq!(p.pop(), Some(next));
+            }
+            assert_eq!(p.pop(), None);
+        }
+    }
+
+    /// A PPE publishes `fmin` for its termination test.  Once the `fmin`
+    /// entry has been taken through FOCAL, the `f` ordering still holds a
+    /// stale copy of it, and the next entry may lie above `fmin`.
+    #[test]
+    fn focal_policy_min_f_is_fmin_not_the_next_entry() {
+        let mut p = FocalPolicy::new(0.5, true);
+        p.push(entry(0, 10, 0, 0)); // fmin and the smallest h
+        p.push(entry(1, 11, 5, 1));
+        p.push(entry(2, 14, 1, 2));
+        assert_eq!(p.min_f(), Some(10));
+        assert_eq!(p.pop().unwrap().id, 0, "taken through FOCAL");
+        assert_eq!(p.min_f(), Some(11));
+        let next = p.peek().unwrap();
+        assert_eq!((next.id, next.f), (2, 14), "FOCAL's smallest h, above fmin");
+        assert_eq!(p.pop(), Some(next));
+        assert_eq!(p.min_f(), Some(11));
+        assert_eq!(p.pop().unwrap().id, 1);
+        assert_eq!((p.min_f(), p.peek()), (None, None));
     }
 
     #[test]

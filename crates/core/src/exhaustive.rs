@@ -16,7 +16,7 @@
 use optsched_taskgraph::Cost;
 
 use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{run_search, DfsPolicy};
+use crate::engine::{run_search, DfsPolicy, SearchConfig};
 use crate::problem::SchedulingProblem;
 use crate::stats::{SearchOutcome, SearchResult};
 
@@ -27,19 +27,29 @@ use crate::stats::{SearchOutcome, SearchResult};
 #[derive(Debug, Clone)]
 pub struct ExhaustiveScheduler<'a> {
     problem: &'a SchedulingProblem,
-    limits: SearchLimits,
+    /// No pruning technique and the zero heuristic; never seeded:
+    /// `DfsPolicy`'s goal test treats the passed incumbent length with its
+    /// own strictness, and the engine pre-seeds the incumbent *schedule*
+    /// anyway, so the enumerator effectively starts from the list upper
+    /// bound already.
+    config: SearchConfig,
 }
 
 impl<'a> ExhaustiveScheduler<'a> {
     /// Creates the enumerator.
     pub fn new(problem: &'a SchedulingProblem) -> Self {
-        ExhaustiveScheduler { problem, limits: SearchLimits::unlimited() }
+        let config = SearchConfig {
+            pruning: PruningConfig::none(),
+            heuristic: HeuristicKind::Zero,
+            ..SearchConfig::default()
+        };
+        ExhaustiveScheduler { problem, config }
     }
 
     /// Applies resource limits to the run (previously the enumerator ignored
     /// them; on the engine they come for free).
     pub fn with_limits(mut self, limits: SearchLimits) -> Self {
-        self.limits = limits;
+        self.config.limits = limits;
         self
     }
 
@@ -47,19 +57,7 @@ impl<'a> ExhaustiveScheduler<'a> {
     /// proof, so a run that was not cut short reports
     /// [`SearchOutcome::Optimal`].
     pub fn run(&self) -> SearchResult {
-        // Never seeded: `DfsPolicy`'s goal test treats the passed incumbent
-        // length with its own strictness, and the engine pre-seeds the
-        // incumbent *schedule* anyway, so the enumerator effectively starts
-        // from the list upper bound already.
-        let mut result = run_search(
-            self.problem,
-            DfsPolicy::new(),
-            PruningConfig::none(),
-            HeuristicKind::Zero,
-            self.limits,
-            false,
-            None,
-        );
+        let mut result = run_search(self.problem, DfsPolicy::new(), &self.config);
         if result.outcome == SearchOutcome::Exhausted {
             result.outcome = SearchOutcome::Optimal;
         }

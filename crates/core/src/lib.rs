@@ -18,10 +18,12 @@
 //! * [`exhaustive`] — brute-force enumeration for tiny problems, used by the
 //!   tests to certify optimality of the search algorithms.
 //!
-//! All four are thin configurations over the unified [`engine`]: one generic
-//! best-first run loop parameterised by a [`FrontierPolicy`], on top of an
-//! arena-backed state store ([`StateArena`]) that keeps generated states as
-//! parent + delta records instead of full clones.
+//! All four are thin configurations over the unified [`engine`]: a
+//! [`SearchConfig`] and a [`FrontierPolicy`] for one generic best-first
+//! search step, [`engine::Search::step`], on top of an arena-backed state
+//! store ([`StateArena`]) that keeps generated states as parent + delta
+//! records instead of full clones.  The parallel scheduler's PPEs drive the
+//! same step.
 //!
 //! The entry point is [`SchedulingProblem`], which bundles the task graph,
 //! the processor network and the precomputed level attributes:
@@ -55,7 +57,7 @@ pub use aeps::AEpsScheduler;
 pub use astar::AStarScheduler;
 pub use bnb::ChenYuScheduler;
 pub use config::{HeuristicKind, PruningConfig, SearchLimits};
-pub use engine::{ArenaConfig, DuplicateFilter, FrontierPolicy, StateArena};
+pub use engine::{ArenaConfig, DuplicateFilter, FrontierPolicy, SearchConfig, StateArena};
 pub use exhaustive::{exhaustive_optimal, ExhaustiveScheduler};
 pub use wastar::WAStarScheduler;
 pub use problem::SchedulingProblem;

@@ -33,7 +33,7 @@
 use optsched_schedule::Schedule;
 
 use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{run_search, WeightedAStarPolicy};
+use crate::engine::{run_search, SearchConfig, WeightedAStarPolicy};
 use crate::problem::SchedulingProblem;
 use crate::stats::SearchResult;
 
@@ -47,11 +47,7 @@ use crate::stats::SearchResult;
 pub struct WAStarScheduler<'a> {
     problem: &'a SchedulingProblem,
     weight: f64,
-    pruning: PruningConfig,
-    heuristic: HeuristicKind,
-    limits: SearchLimits,
-    seed_incumbent: bool,
-    warm_start: Option<Schedule>,
+    config: SearchConfig,
 }
 
 impl<'a> WAStarScheduler<'a> {
@@ -62,15 +58,14 @@ impl<'a> WAStarScheduler<'a> {
     /// Panics if `weight` is below 1 or not finite.
     pub fn new(problem: &'a SchedulingProblem, weight: f64) -> Self {
         assert!(weight.is_finite() && weight >= 1.0, "weight must be a finite number >= 1");
-        WAStarScheduler {
-            problem,
-            weight,
-            pruning: PruningConfig::all(),
-            heuristic: HeuristicKind::PaperStaticLevel,
-            limits: SearchLimits::unlimited(),
-            seed_incumbent: false,
-            warm_start: None,
-        }
+        WAStarScheduler { problem, weight, config: SearchConfig::default() }
+    }
+
+    /// Replaces the whole search configuration: pruning, heuristic, limits,
+    /// seeding and warm start.
+    pub fn with_config(mut self, config: SearchConfig) -> Self {
+        self.config = config;
+        self
     }
 
     /// The heuristic weight `w`.
@@ -80,26 +75,27 @@ impl<'a> WAStarScheduler<'a> {
 
     /// Selects which pruning techniques to use.
     pub fn with_pruning(mut self, pruning: PruningConfig) -> Self {
-        self.pruning = pruning;
+        self.config.pruning = pruning;
         self
     }
 
     /// Selects the admissible heuristic (inflated only in the ordering).
     pub fn with_heuristic(mut self, heuristic: HeuristicKind) -> Self {
-        self.heuristic = heuristic;
+        self.config.heuristic = heuristic;
         self
     }
 
     /// Applies resource limits to the run.
     pub fn with_limits(mut self, limits: SearchLimits) -> Self {
-        self.limits = limits;
+        self.config.limits = limits;
         self
     }
 
     /// Treats the list-heuristic schedule as an attained incumbent (strict
-    /// upper-bound pruning; see [`run_search`]).  Off by default.
+    /// upper-bound pruning; see [`SearchConfig::seed_incumbent`]).  Off by
+    /// default.
     pub fn with_seeded_incumbent(mut self, seed: bool) -> Self {
-        self.seed_incumbent = seed;
+        self.config.seed_incumbent = seed;
         self
     }
 
@@ -107,21 +103,14 @@ impl<'a> WAStarScheduler<'a> {
     /// starting incumbent (adopted only when strictly better; must be
     /// feasible for this problem).
     pub fn with_warm_start(mut self, warm: Option<Schedule>) -> Self {
-        self.warm_start = warm;
+        self.config.warm_start = warm;
         self
     }
 
     /// Runs the search to completion (or until a limit is hit).
     pub fn run(&self) -> SearchResult {
-        run_search(
-            self.problem,
-            WeightedAStarPolicy::new(self.weight, self.pruning.upper_bound_pruning),
-            self.pruning,
-            self.heuristic,
-            self.limits,
-            self.seed_incumbent,
-            self.warm_start.as_ref(),
-        )
+        let policy = WeightedAStarPolicy::new(self.weight, self.config.pruning.upper_bound_pruning);
+        run_search(self.problem, policy, &self.config)
     }
 }
 

@@ -39,8 +39,9 @@ pub struct ParallelConfig {
     /// claims spread, not the memory; 16 is plenty for the thread counts the
     /// paper evaluates.
     pub num_shards: usize,
-    /// Resource limits applied to the whole parallel run (expansions and
-    /// generations are counted across all PPEs).
+    /// Resource limits applied to the whole parallel run: expansions and
+    /// generations are counted across all PPEs, and each PPE reads its clock
+    /// on the serial search's cadence, from the moment it starts.
     pub limits: SearchLimits,
 }
 

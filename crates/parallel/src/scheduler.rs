@@ -1,8 +1,12 @@
 //! The thread-based parallel A* / Aε* scheduler.
 //!
-//! Every PPE (thread) runs the same best-first loop as the serial scheduler
-//! on its private OPEN/CLOSED lists; the pieces that make it the *parallel*
-//! algorithm of Section 3.3 are:
+//! Every PPE (thread) drives the serial scheduler's step,
+//! [`Search::step`], on its private OPEN/CLOSED lists: exact mode pops in
+//! [`AStarPolicy`]'s `(f, h, FIFO)` order, and ε mode with
+//! [`FocalPolicy`]'s FOCAL rule, the serial Aε\* of Pearl & Kim.  Between
+//! steps a PPE takes in the states its neighbours sent, publishes its
+//! smallest `f` and runs the global termination test.  The pieces that make
+//! it the *parallel* algorithm of Section 3.3 are:
 //!
 //! * **Initial distribution** — the frontier obtained by repeatedly expanding
 //!   the initial empty state until at least `q` states exist is dealt to the
@@ -20,22 +24,22 @@
 //!   published frontier, and the receiver keeps it unconditionally (counted
 //!   in [`SearchStats::election_transfers`], never in `duplicates_global`).
 //! * **Goal broadcast / termination** — the best complete schedule lives in a
-//!   shared incumbent; a PPE that can prove no open or in-flight state can
-//!   beat the incumbent (within the ε bound, if any) raises the global
-//!   termination flag.
+//!   shared incumbent (the PPEs' [`Incumbent`]); a PPE that can prove no open
+//!   or in-flight state can beat the incumbent (within the ε bound, if any)
+//!   raises the global termination flag.  So does a PPE that hits a limit,
+//!   and one that panics.
 //!
-//! Each PPE stores its search frontier in a private [`StateArena`]: OPEN is
-//! the engine's [`BucketQueue`] of arena ids keyed by `(f, h)`, which pops in
-//! `(f, h, FIFO)` order; generated children live as parent-id +
-//! [`ChildDelta`] records, and a full [`SearchState`] is built only when a
-//! state is selected for expansion (scratch replay).  A shallow
-//! state moves between PPEs as its *delta chain* (extracted without
-//! materialising, re-rooted below the receiver's slot-0 initial state); one
-//! deeper than four (`SNAPSHOT_DEPTH_THRESHOLD`) moves as a single snapshot.
-//! Expanded, goal-popped and shipped-away states release their records, so
-//! the record count tracks the live frontier instead of the whole history.
-//! The `in_flight` gauge counts fixed-size *records* (one per scheduled node
-//! of a chain, `v` per snapshot) so both transfer forms share one unit.
+//! Each PPE stores its search frontier in its search's private
+//! [`StateArena`]: generated children live as parent-id + [`ChildDelta`]
+//! records, and a full [`SearchState`] is built only when a state is
+//! selected for expansion (scratch replay).  A shallow state moves between
+//! PPEs as its *delta chain* (extracted without materialising, re-rooted
+//! below the receiver's slot-0 initial state); one deeper than four
+//! (`SNAPSHOT_DEPTH_THRESHOLD`) moves as a single snapshot.  Expanded,
+//! goal-popped and shipped-away states release their records, so the record
+//! count tracks the live frontier instead of the whole history.  The
+//! `in_flight` gauge counts fixed-size *records* (one per scheduled node of a
+//! chain, `v` per snapshot) so both transfer forms share one unit.
 
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -45,8 +49,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use optsched_core::engine::{
-    expand_state, focal_threshold, ArenaConfig, BucketQueue, DuplicateFilter, ExpansionContext,
-    Queued, SignatureSet, StateArena, StateId,
+    focal_threshold, AStarPolicy, DuplicateFilter, FocalPolicy, FrontierPolicy, Incumbent, Search,
+    SearchConfig, SignatureSet, StateArena, StateId, Step,
 };
 use optsched_core::state::{ChildDelta, StateSignature};
 use optsched_core::{SchedulingProblem, SearchOutcome, SearchState, SearchStats};
@@ -57,9 +61,6 @@ use optsched_taskgraph::Cost;
 use crate::closed::{ClaimOutcome, DuplicateDetection, ShardedClosedTable};
 use crate::config::ParallelConfig;
 use crate::result::ParallelSearchResult;
-
-/// Number of FOCAL candidates inspected per selection in the ε-bounded mode.
-const FOCAL_SCAN_LIMIT: usize = 64;
 
 /// Transfer depth at or below which a delta arena ships the raw chain; any
 /// deeper and it materialises the state and ships one snapshot instead.  A
@@ -177,7 +178,7 @@ struct Transfer {
 ///
 /// This is the parallel scheduler's implementation of the engine's
 /// [`DuplicateFilter`] hook: locally generated children flow through
-/// [`expand_state`] and hit [`DuplicateFilter::admit`]; states arriving from
+/// [`Search::step`] and hit [`DuplicateFilter::admit`]; states arriving from
 /// other PPEs go through [`DupFilter::admit_transfer`], which preserves the
 /// claim-ownership semantics of the sharded table.
 enum DupFilter<'t> {
@@ -318,15 +319,53 @@ impl Shared {
     }
 
     /// Installs `schedule` (built lazily) as the incumbent if `len` improves
-    /// on the best complete schedule known so far.
-    fn offer_incumbent(&self, len: Cost, schedule: impl FnOnce() -> Schedule) {
+    /// on the best complete schedule known so far; returns whether it did.
+    fn offer_incumbent(&self, len: Cost, schedule: impl FnOnce() -> Schedule) -> bool {
         if len >= self.incumbent_len() {
-            return;
+            return false;
         }
         let mut inc = self.incumbent.lock();
-        if len < inc.0 {
+        let better = len < inc.0;
+        if better {
             *inc = (len, schedule());
             self.incumbent_len.store(len, Ordering::SeqCst);
+        }
+        better
+    }
+}
+
+/// The PPEs' shared incumbent, and the work all of them count against the
+/// run's limits.
+impl Incumbent for &Shared {
+    fn makespan(&self) -> Cost {
+        self.incumbent_len()
+    }
+
+    fn offer(&mut self, len: Cost, schedule: impl FnOnce() -> Schedule) -> bool {
+        self.offer_incumbent(len, schedule)
+    }
+
+    /// Goal broadcast: a popped goal is published, and the search goes on
+    /// until the global termination test proves it cannot be beaten.
+    fn settle(&mut self, len: Cost, schedule: impl FnOnce() -> Schedule) -> bool {
+        self.offer_incumbent(len, schedule);
+        false
+    }
+
+    fn work(&self, _own: &SearchStats) -> (u64, u64) {
+        (self.total_expanded.load(Ordering::Relaxed), self.total_generated.load(Ordering::Relaxed))
+    }
+}
+
+/// Raises the global stop flag when its PPE unwinds, so that a panicking
+/// PPE stops its peers instead of leaving them to wait for it forever; the
+/// panic then reaches [`ParallelAStarScheduler::run`]'s caller.
+struct StopPeersOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopPeersOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::SeqCst);
         }
     }
 }
@@ -407,7 +446,23 @@ impl<'a> ParallelAStarScheduler<'a> {
 
     /// Runs the parallel search and returns the best schedule with per-PPE
     /// statistics.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of a PPE that panicked, after every PPE stopped.
     pub fn run(&self) -> ParallelSearchResult {
+        let prune = self.config.pruning.upper_bound_pruning;
+        match self.config.epsilon {
+            None => self.run_with(|_| AStarPolicy::new(prune)),
+            Some(eps) => self.run_with(|_| FocalPolicy::new(eps, prune)),
+        }
+    }
+
+    /// Runs the parallel search with `policy(id)` as PPE `id`'s frontier.
+    fn run_with<P: FrontierPolicy>(
+        &self,
+        policy: impl Fn(usize) -> P + Sync,
+    ) -> ParallelSearchResult {
         let start = Instant::now();
         let cfg = self.config;
         let q = cfg.num_ppes;
@@ -429,29 +484,33 @@ impl<'a> ParallelAStarScheduler<'a> {
             shared.local_min_f[i].store(min_f, Ordering::SeqCst);
         }
         let neighbors = cfg.ppe_neighbors();
-        let deadline = cfg.limits.max_millis.map(|ms| start + Duration::from_millis(ms));
-
-        let channels: Vec<(Sender<Transfer>, Receiver<Transfer>)> =
-            (0..q).map(|_| unbounded()).collect();
-        let txs: Vec<Sender<Transfer>> = channels.iter().map(|(t, _)| t.clone()).collect();
-        let mut rxs: Vec<Option<Receiver<Transfer>>> =
-            channels.into_iter().map(|(_, r)| Some(r)).collect();
+        let (txs, rxs): (Vec<Sender<Transfer>>, Vec<Receiver<Transfer>>) =
+            (0..q).map(|_| unbounded()).unzip();
 
         let mut per_ppe_stats: Vec<SearchStats> = Vec::with_capacity(q);
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(q);
-            for (id, bucket) in buckets.into_iter().enumerate() {
-                let rx = rxs[id].take().expect("one receiver per PPE");
-                let txs = txs.clone();
-                let shared = &shared;
-                let neighbors = neighbors[id].clone();
-                let problem = self.problem;
-                handles.push(scope.spawn(move || {
-                    ppe_worker(id, problem, &cfg, &neighbors, shared, rx, &txs, bucket, deadline)
-                }));
-            }
+            let handles: Vec<_> = buckets
+                .into_iter()
+                .zip(rxs)
+                .enumerate()
+                .map(|(id, (bucket, rx))| {
+                    let ppe = Ppe {
+                        id,
+                        problem: self.problem,
+                        cfg: &cfg,
+                        shared: &shared,
+                        neighbors: &neighbors[id],
+                        txs: &txs,
+                    };
+                    let policy = &policy;
+                    scope.spawn(move || ppe.run(policy(id), rx, bucket))
+                })
+                .collect();
             for h in handles {
-                per_ppe_stats.push(h.join().expect("PPE thread panicked"));
+                match h.join() {
+                    Ok(stats) => per_ppe_stats.push(stats),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
             }
         });
 
@@ -483,428 +542,280 @@ impl<'a> ParallelAStarScheduler<'a> {
     }
 }
 
-/// Selects the next state to expand: plain best-first for the exact search,
-/// or a FOCAL-style "deepest state within (1+ε)·fmin" for the ε-bounded one,
-/// among the first [`FOCAL_SCAN_LIMIT`] entries in `(f, h, FIFO)` order.
-fn select_state(open: &mut BucketQueue, epsilon: Option<f64>) -> Queued {
-    let Some(eps) = epsilon else {
-        return open.pop().expect("select_state called on a non-empty OPEN");
-    };
-    let threshold = focal_threshold(eps, open.peek().expect("non-empty OPEN").key.0);
-    // Pick the FOCAL member with the smallest h (closest to a goal).  It is
-    // the front of its (f, h) group, whose later entries share its key and
-    // carry larger sequence numbers, so taking it leaves every other entry
-    // in place.
-    let chosen = open
-        .iter()
-        .take(FOCAL_SCAN_LIMIT)
-        .take_while(|e| e.key.0 <= threshold)
-        .min_by_key(|e| (e.key.1, e.key.0, e.seq))
-        .expect("FOCAL contains at least the fmin state");
-    let taken = open.remove_front(chosen.key);
-    debug_assert_eq!(taken, Some(chosen));
-    chosen
+/// A PPE's search: the engine's [`Search`] over its private arena, with its
+/// duplicate-detection view and the shared incumbent.
+type PpeSearch<'a, P> = Search<'a, P, DupFilter<'a>, &'a Shared>;
+
+/// One PPE thread: its id and neighbours, and what all PPEs share.
+struct Ppe<'a> {
+    id: usize,
+    problem: &'a SchedulingProblem,
+    cfg: &'a ParallelConfig,
+    shared: &'a Shared,
+    neighbors: &'a [usize],
+    /// Every PPE's inbox.
+    txs: &'a [Sender<Transfer>],
 }
 
-/// The per-PPE search loop.
-#[allow(clippy::too_many_arguments)]
-fn ppe_worker(
-    id: usize,
-    problem: &SchedulingProblem,
-    cfg: &ParallelConfig,
-    neighbors: &[usize],
-    shared: &Shared,
-    rx: Receiver<Transfer>,
-    txs: &[Sender<Transfer>],
-    initial: Vec<SearchState>,
-    deadline: Option<Instant>,
-) -> SearchStats {
-    // Observability: each PPE gets its own timeline track — a span covering
-    // the worker's lifetime plus instants on elections, transfers and the
-    // end-of-run duplicate tally.  Disabled cost: one relaxed load per site.
-    let obs_track = if obs::enabled() { obs::next_track() } else { 0 };
-    let _obs_span = obs::span("ppe", obs_track).with_arg("ppe", id as u64);
-    let mut stats = SearchStats::default();
-    let mut open = BucketQueue::new();
-    let mut arena = StateArena::new(problem, ArenaConfig);
-    // Slot 0 is the problem's initial (empty) state: chains received from
-    // other PPEs are re-rooted below it.
-    arena.insert_root(SearchState::initial(problem));
-    let mut dup = match &shared.closed {
-        Some(table) => DupFilter::Global { table, id },
-        None => DupFilter::Local(Box::default()),
-    };
-    let mut counter: u64 = 0;
-
-    let v = problem.num_nodes() as u64;
-    let goal_depth = problem.num_nodes() as u16;
-    let mut comm_period = (v / 2).max(cfg.min_comm_period);
-    let mut since_comm: u64 = 0;
-    let mut idle_spins: u32 = 0;
-
-    /// How a state arrives from outside this PPE's own expansions; governs
-    /// the ownership semantics of duplicate detection.  (Locally generated
-    /// children do not pass through here — they flow through the engine's
-    /// [`expand_state`] pipeline below.)
-    enum Arrival {
-        /// Dealt out by the initial distribution.
-        Initial,
-        /// A best-state election copy from a neighbour (`Local` mode: the
-        /// sender keeps its own copy, so dropping this one as a duplicate is
-        /// always safe).
-        ElectionCopy,
-        /// A load-sharing transfer: the sender gave up its copy, this PPE is
-        /// now the sole owner and must keep the state.
-        OwnedTransfer,
-        /// An ownership-transferring election (`ShardedGlobal` mode): like
-        /// [`Arrival::OwnedTransfer`], but counted separately so the
-        /// election's effectiveness is observable.
-        ElectionTransfer,
-    }
-
-    let push_transfer = |open: &mut BucketQueue,
-                             arena: &mut StateArena<'_>,
-                             dup: &mut DupFilter<'_>,
-                             counter: &mut u64,
-                             stats: &mut SearchStats,
-                             payload: Payload,
-                             arrival: Arrival| {
-        let (f, g, h) = payload.costs();
-        if cfg.pruning.upper_bound_pruning && f > shared.incumbent_len() {
-            stats.pruned_upper_bound += 1;
-            return;
-        }
-        let owned_transfer =
-            matches!(arrival, Arrival::OwnedTransfer | Arrival::ElectionTransfer);
-        if !dup.admit_transfer(|| payload.signature(problem), g, owned_transfer, stats) {
-            return;
-        }
-        if matches!(arrival, Arrival::ElectionTransfer) {
-            stats.election_transfers += 1;
-        }
-        if payload.is_goal(problem) {
-            shared.offer_incumbent(g, || payload.to_state(problem).to_schedule(problem));
-        }
-        *counter += 1;
-        let id = match payload {
-            Payload::Full(state) => arena.adopt_snapshot(state),
-            Payload::Chain(chain) => arena.adopt_chain(&chain),
+impl<'a> Ppe<'a> {
+    /// The PPE's loop: take in the states neighbours sent, publish the
+    /// frontier, test for global termination, step the search, and every
+    /// `T` expansions run the communication phase.
+    fn run<P: FrontierPolicy>(
+        &self,
+        policy: P,
+        rx: Receiver<Transfer>,
+        initial: Vec<SearchState>,
+    ) -> SearchStats {
+        let (problem, cfg, shared) = (self.problem, self.cfg, self.shared);
+        let _stop_peers = StopPeersOnPanic(&shared.terminate);
+        let dup = match &shared.closed {
+            Some(table) => DupFilter::Global { table, id: self.id },
+            None => DupFilter::Local(Box::default()),
         };
-        open.push(Queued { key: (f, h), id, seq: *counter, extra: () });
-    };
-
-    for s in initial {
-        push_transfer(
-            &mut open,
-            &mut arena,
-            &mut dup,
-            &mut counter,
-            &mut stats,
-            Payload::Full(s),
-            Arrival::Initial,
-        );
-    }
-
-    let mut kept: Vec<(ChildDelta, Cost)> = Vec::new();
-    loop {
-        if shared.terminate.load(Ordering::SeqCst) {
-            break;
+        let config = SearchConfig {
+            pruning: cfg.pruning,
+            heuristic: cfg.heuristic,
+            limits: cfg.limits,
+            ..SearchConfig::default()
+        };
+        let mut search = Search::new(problem, policy, dup, shared, &config);
+        // Observability: a span covering the worker's lifetime on its
+        // search's track, plus instants on elections, transfers and the
+        // end-of-run duplicate tally.
+        let track = search.track();
+        let _obs_span = obs::span("ppe", track).with_arg("ppe", self.id as u64);
+        for state in initial {
+            let dealt = Transfer { payload: Payload::Full(state), owned: false, election: false };
+            self.adopt(&mut search, dealt);
         }
 
-        // Import states sent by neighbours.  The published minimum and the
-        // in-flight counter are updated in an order that never lets another
-        // PPE observe "nothing in flight" while this state is still invisible.
-        while let Ok(t) = rx.try_recv() {
-            let records = t.payload.records(problem) as i64;
-            let arrival = match (t.owned, t.election) {
-                (true, true) => Arrival::ElectionTransfer,
-                (true, false) => Arrival::OwnedTransfer,
-                (false, _) => Arrival::ElectionCopy,
-            };
-            let arrival_name = match arrival {
-                Arrival::ElectionCopy | Arrival::ElectionTransfer => "election_in",
-                _ => "transfer_in",
-            };
-            obs::instant(arrival_name, obs_track, "records", records as u64);
-            push_transfer(&mut open, &mut arena, &mut dup, &mut counter, &mut stats, t.payload, arrival);
-            let min_f = open.peek().map_or(u64::MAX, |e| e.key.0);
-            shared.local_min_f[id].store(min_f, Ordering::SeqCst);
-            shared.in_flight.fetch_sub(records, Ordering::SeqCst);
-        }
-
-        // Publish this PPE's frontier cost and OPEN size.
-        let min_f = open.peek().map_or(u64::MAX, |e| e.key.0);
-        shared.local_min_f[id].store(min_f, Ordering::SeqCst);
-        shared.open_sizes[id].store(open.len(), Ordering::Relaxed);
-        stats.max_open_size = stats.max_open_size.max(open.len());
-
-        // Global termination test: nothing in flight and no frontier state
-        // anywhere can improve on the incumbent (within the ε bound).  The
-        // comparison stays in integers: above 2^53 distinct costs share an
-        // `f64`.
-        let incumbent_len = shared.incumbent_len();
-        if shared.in_flight.load(Ordering::SeqCst) == 0 {
-            let global_min = shared
-                .local_min_f
-                .iter()
-                .map(|a| a.load(Ordering::SeqCst))
-                .min()
-                .unwrap_or(u64::MAX);
-            let bound = cfg.epsilon.map_or(global_min, |e| focal_threshold(e, global_min));
-            let done = global_min == u64::MAX || incumbent_len <= bound;
-            if done {
-                shared.terminate.store(true, Ordering::SeqCst);
+        let mut comm_period = (problem.num_nodes() as u64 / 2).max(cfg.min_comm_period);
+        let mut since_comm: u64 = 0;
+        let mut idle_spins: u32 = 0;
+        let local_min_f = &shared.local_min_f[self.id];
+        loop {
+            if shared.terminate.load(Ordering::SeqCst) {
                 break;
             }
-        }
 
-        // Resource limits (evaluated on the global counters).
-        if let Some(max_exp) = cfg.limits.max_expansions {
-            if shared.total_expanded.load(Ordering::Relaxed) >= max_exp {
-                shared.limit_hit.store(true, Ordering::SeqCst);
-                shared.terminate.store(true, Ordering::SeqCst);
-                break;
-            }
-        }
-        if let Some(max_gen) = cfg.limits.max_generated {
-            if shared.total_generated.load(Ordering::Relaxed) >= max_gen {
-                shared.limit_hit.store(true, Ordering::SeqCst);
-                shared.terminate.store(true, Ordering::SeqCst);
-                break;
-            }
-        }
-        if let Some(dl) = deadline {
-            if Instant::now() >= dl {
-                shared.limit_hit.store(true, Ordering::SeqCst);
-                shared.terminate.store(true, Ordering::SeqCst);
-                break;
-            }
-        }
-        if let Some(target) = cfg.limits.target_cost {
-            if incumbent_len <= target {
-                shared.target_hit.store(true, Ordering::SeqCst);
-                shared.terminate.store(true, Ordering::SeqCst);
-                break;
-            }
-        }
-
-        if open.is_empty() {
-            // Idle: wait for work from neighbours or for global termination.
-            idle_spins += 1;
-            if idle_spins > 64 {
-                std::thread::sleep(Duration::from_micros(50));
-            } else {
-                std::thread::yield_now();
-            }
-            continue;
-        }
-        idle_spins = 0;
-
-        let entry = select_state(&mut open, cfg.epsilon);
-        kept.clear();
-        let mut popped_goal = false;
-        {
-            // Materialise the selected state (scratch replay); the borrow
-            // lasts until the children collected in `kept` are stored,
-            // mirroring the serial engine's loop.
-            let state = arena.materialise(entry.id);
-            if state.is_goal(problem) {
-                // Goal broadcast: publish and keep searching until the global
-                // termination condition proves it cannot be beaten.
-                shared.offer_incumbent(state.g(), || state.to_schedule(problem));
-                popped_goal = true;
-            } else {
-                stats.expanded += 1;
-                shared.total_expanded.fetch_add(1, Ordering::Relaxed);
-                since_comm += 1;
-
-                // Locally generated children flow through the engine's shared
-                // admission pipeline: each candidate is evaluated
-                // allocation-free, pruned against the shared incumbent, and
-                // claimed through the duplicate-detection hook (private set
-                // or sharded global table); only survivors are stored, as
-                // delta records.
-                expand_state(
-                    ExpansionContext { problem, pruning: &cfg.pruning, heuristic: cfg.heuristic },
-                    state,
-                    &mut dup,
-                    &mut stats,
-                    |_parent, delta, _stats| {
-                        let f = delta.f();
-                        (!cfg.pruning.upper_bound_pruning || f <= shared.incumbent_len())
-                            .then_some(f)
-                    },
-                    |parent, delta, f, _stats| {
-                        if parent.depth() + 1 == goal_depth {
-                            shared.offer_incumbent(delta.g, || {
-                                parent.apply_delta(problem, &delta).to_schedule(problem)
-                            });
-                        }
-                        kept.push((delta, f));
-                    },
-                );
-            }
-        }
-        for &(delta, f) in &kept {
-            counter += 1;
-            stats.generated += 1;
-            shared.total_generated.fetch_add(1, Ordering::Relaxed);
-            let child = arena.insert_child(entry.id, &delta);
-            open.push(Queued { key: (f, delta.h), id: child, seq: counter, extra: () });
-        }
-        // The popped state's own handle is done: children hold their own
-        // references up the chain, so dead subtrees (no surviving children)
-        // release their records here.
-        arena.release(entry.id);
-        if popped_goal {
-            // Goal pops never trigger the communication phase (unchanged
-            // from the pre-reclamation loop).
-            continue;
-        }
-
-        // Communication phase: neighbour exchange + round-robin load sharing.
-        if since_comm >= comm_period && !neighbors.is_empty() {
-            since_comm = 0;
-            comm_period = (comm_period / 2).max(cfg.min_comm_period);
-
-            // Best-state election.
-            match cfg.duplicate_detection {
-                DuplicateDetection::Local => {
-                    // The paper's election: offer a *copy* of this PPE's best
-                    // state to every neighbour (each receiver keeps or drops
-                    // it through its own duplicate detection).  A shallow
-                    // state ships as its chain without materialising it, a
-                    // deep one as a single snapshot.
-                    if let Some(best) = open.peek() {
-                        let payload = extract_payload(&mut arena, best.id);
-                        let records = payload.records(problem);
-                        for &nb in neighbors {
-                            shared.in_flight_add(records);
-                            let copy = Transfer {
-                                payload: payload.clone(),
-                                owned: false,
-                                election: true,
-                            };
-                            if txs[nb].send(copy).is_err() {
-                                shared.in_flight.fetch_sub(records as i64, Ordering::SeqCst);
-                            }
-                        }
-                        obs::instant("election_send", obs_track, "copies", neighbors.len() as u64);
-                    }
-                }
-                DuplicateDetection::ShardedGlobal => {
-                    // Ownership-transferring election: a copy would reach the
-                    // receiver with an already-claimed signature and be
-                    // dropped on arrival, so instead *give away* the best
-                    // state (claim travels with it, see `DupFilter::release`)
-                    // to the neighbour whose published frontier is worst —
-                    // and only to one that actually profits, i.e. whose
-                    // frontier minimum is strictly worse than this state.
-                    // The receiver force-keeps it; nothing is wasted.  When
-                    // the receiver's frontier is *far* worse (empty, or more
-                    // than 25% above this PPE's best f), one state will not
-                    // keep it busy: ship a k-best batch, every member still
-                    // strictly better than the receiver's published minimum.
-                    if let Some(best) = open.peek() {
-                        let best_f = best.key.0;
-                        let target = neighbors
-                            .iter()
-                            .map(|&nb| (shared.local_min_f[nb].load(Ordering::SeqCst), Reverse(nb)))
-                            .filter(|&(min_f, _)| min_f > best_f)
-                            .max();
-                        if let Some((nb_min_f, Reverse(nb))) = target {
-                            let far_worse =
-                                nb_min_f == u64::MAX || nb_min_f > best_f + (best_f >> 2);
-                            let batch = if far_worse { ELECTION_BATCH } else { 1 };
-                            let mut shipped = 0u64;
-                            for _ in 0..batch {
-                                if !open.peek().is_some_and(|e| e.key.0 < nb_min_f) {
-                                    break;
-                                }
-                                let e = open.pop().expect("peeked a qualifying state above");
-                                let payload = extract_owned(problem, &mut arena, &mut dup, e.id);
-                                let records = payload.records(problem);
-                                shared.in_flight_add(records);
-                                let t = Transfer { payload, owned: true, election: true };
-                                if txs[nb].send(t).is_err() {
-                                    shared.in_flight.fetch_sub(records as i64, Ordering::SeqCst);
-                                }
-                                shipped += 1;
-                            }
-                            obs::instant("election_send", obs_track, "states", shipped);
-                        }
-                    }
-                }
+            // Import states sent by neighbours.  The published minimum and the
+            // in-flight counter are updated in an order that never lets another
+            // PPE observe "nothing in flight" while this state is still invisible.
+            while let Ok(t) = rx.try_recv() {
+                let records = t.payload.records(problem);
+                let name = if t.election { "election_in" } else { "transfer_in" };
+                obs::instant(name, track, "records", records);
+                self.adopt(&mut search, t);
+                local_min_f.store(search.policy.min_f().unwrap_or(u64::MAX), Ordering::SeqCst);
+                shared.in_flight.fetch_sub(records as i64, Ordering::SeqCst);
             }
 
-            // Round-robin load sharing of surplus states to deficit neighbours.
-            let neighbor_sizes: Vec<(usize, usize)> = neighbors
-                .iter()
-                .map(|&nb| (nb, shared.open_sizes[nb].load(Ordering::Relaxed)))
-                .collect();
-            let total: usize =
-                open.len() + neighbor_sizes.iter().map(|&(_, s)| s).sum::<usize>();
-            let avg = total / (neighbor_sizes.len() + 1);
-            if open.len() > avg + 1 {
-                let deficits: Vec<usize> = neighbor_sizes
+            // Publish this PPE's frontier cost and OPEN size.
+            local_min_f.store(search.policy.min_f().unwrap_or(u64::MAX), Ordering::SeqCst);
+            shared.open_sizes[self.id].store(search.policy.open_len(), Ordering::Relaxed);
+
+            // Global termination test: nothing in flight and no frontier state
+            // anywhere can improve on the incumbent (within the ε bound).  The
+            // comparison stays in integers: above 2^53 distinct costs share an
+            // `f64`.
+            if shared.in_flight.load(Ordering::SeqCst) == 0 {
+                let global_min = shared
+                    .local_min_f
                     .iter()
-                    .filter(|&&(_, s)| s < avg)
-                    .map(|&(nb, _)| nb)
-                    .collect();
-                if !deficits.is_empty() {
-                    let surplus = open.len() - avg;
-                    // Keep the best state locally; deal the following ones
-                    // out.  The kept state goes back to the front of its
-                    // group, where it came from.
-                    let keep = open.pop();
-                    let mut sent = 0usize;
-                    let mut outgoing: Vec<StateId> = Vec::with_capacity(surplus);
-                    while sent < surplus {
-                        match open.pop() {
-                            Some(e) => {
-                                outgoing.push(e.id);
-                                sent += 1;
-                            }
-                            None => break,
-                        }
+                    .map(|a| a.load(Ordering::SeqCst))
+                    .min()
+                    .unwrap_or(u64::MAX);
+                let bound = cfg.epsilon.map_or(global_min, |e| focal_threshold(e, global_min));
+                if global_min == u64::MAX || shared.incumbent_len() <= bound {
+                    shared.terminate.store(true, Ordering::SeqCst);
+                    break;
+                }
+            }
+
+            let generated = search.stats.generated;
+            match search.step() {
+                Step::Expanded => {
+                    idle_spins = 0;
+                    shared.total_expanded.fetch_add(1, Ordering::Relaxed);
+                    let children = search.stats.generated - generated;
+                    shared.total_generated.fetch_add(children, Ordering::Relaxed);
+                    since_comm += 1;
+                    if since_comm >= comm_period && !self.neighbors.is_empty() {
+                        since_comm = 0;
+                        comm_period = (comm_period / 2).max(cfg.min_comm_period);
+                        self.communicate(&mut search);
                     }
-                    if let Some(k) = keep {
-                        open.push_front(k);
+                }
+                // Goal pops never trigger the communication phase.
+                Step::Goal => idle_spins = 0,
+                Step::Empty => {
+                    // Idle: wait for work from neighbours or for global
+                    // termination.
+                    idle_spins += 1;
+                    if idle_spins > 64 {
+                        std::thread::sleep(Duration::from_micros(50));
+                    } else {
+                        std::thread::yield_now();
                     }
-                    for (i, sid) in outgoing.into_iter().enumerate() {
-                        // Chain-on-send: a shallow state leaves as its delta
-                        // chain, a deep one as a snapshot.  Shipping transfers
-                        // ownership (see
-                        // `DupFilter::release`): the receiver force-inserts
-                        // it, so the sole live copy of a claimed signature is
-                        // never dropped by both sides of an exchange.
-                        let payload = extract_owned(problem, &mut arena, &mut dup, sid);
-                        let records = payload.records(problem);
-                        let target = deficits[i % deficits.len()];
-                        shared.in_flight_add(records);
-                        let t = Transfer { payload, owned: true, election: false };
-                        if txs[target].send(t).is_err() {
-                            shared.in_flight.fetch_sub(records as i64, Ordering::SeqCst);
-                        }
-                    }
-                    obs::instant("load_share", obs_track, "states", sent as u64);
+                }
+                Step::Stop(outcome) => {
+                    let cause = if outcome == SearchOutcome::TargetReached {
+                        &shared.target_hit
+                    } else {
+                        &shared.limit_hit
+                    };
+                    cause.store(true, Ordering::SeqCst);
+                    shared.terminate.store(true, Ordering::SeqCst);
+                    break;
                 }
             }
         }
+
+        // The arena is the PPE's only holder of full states: root, scratch
+        // and adopted snapshots (nothing per OPEN entry).  Its record
+        // counters report the O(live frontier) behaviour of the refcounted
+        // store and the replay work behind it.
+        let (stats, _) = search.finish();
+        obs::instant("ppe_done", track, "duplicates", stats.duplicates + stats.duplicates_global);
+        stats
     }
 
-    // The arena is the PPE's only holder of full states: root, scratch and
-    // adopted snapshots (nothing per OPEN entry).  The record counters report
-    // the O(live frontier) behaviour of the refcounted store and the replay
-    // work behind it.
-    arena.record_stats(&mut stats);
-    obs::instant(
-        "ppe_done",
-        obs_track,
-        "duplicates",
-        stats.duplicates + stats.duplicates_global,
-    );
-    stats
+    /// Takes in a state from outside this PPE's own expansions: dealt out
+    /// by the initial distribution, or sent by a neighbour.  An owned
+    /// transfer is kept whatever duplicate detection says (see
+    /// [`DupFilter::admit_transfer`]).
+    fn adopt<P: FrontierPolicy>(&self, search: &mut PpeSearch<'a, P>, t: Transfer) {
+        let problem = self.problem;
+        let (f, g, h) = t.payload.costs();
+        if self.cfg.pruning.upper_bound_pruning && f > self.shared.incumbent_len() {
+            search.stats.pruned_upper_bound += 1;
+            return;
+        }
+        let sig = || t.payload.signature(problem);
+        if !search.dup.admit_transfer(sig, g, t.owned, &mut search.stats) {
+            return;
+        }
+        if t.owned && t.election {
+            search.stats.election_transfers += 1;
+        }
+        if t.payload.is_goal(problem) {
+            self.shared.offer_incumbent(g, || t.payload.to_state(problem).to_schedule(problem));
+        }
+        let id = match t.payload {
+            Payload::Full(state) => search.arena.adopt_snapshot(state),
+            Payload::Chain(chain) => search.arena.adopt_chain(&chain),
+        };
+        search.push(id, f, h, f);
+    }
+
+    /// The communication phase: the best-state election, then round-robin
+    /// load sharing of surplus states to deficit neighbours.
+    fn communicate<P: FrontierPolicy>(&self, search: &mut PpeSearch<'a, P>) {
+        let (problem, shared, neighbors) = (self.problem, self.shared, self.neighbors);
+        let track = search.track();
+        match self.cfg.duplicate_detection {
+            DuplicateDetection::Local => {
+                // The paper's election: offer a *copy* of this PPE's best
+                // state to every neighbour (each receiver keeps or drops it
+                // through its own duplicate detection).  A shallow state
+                // ships as its chain without materialising it, a deep one as
+                // a single snapshot.
+                if let Some(best) = search.policy.peek() {
+                    let payload = extract_payload(&mut search.arena, best.id);
+                    for &nb in neighbors {
+                        let payload = payload.clone();
+                        self.send(nb, Transfer { payload, owned: false, election: true });
+                    }
+                    obs::instant("election_send", track, "copies", neighbors.len() as u64);
+                }
+            }
+            DuplicateDetection::ShardedGlobal => {
+                // Ownership-transferring election: a copy would reach the
+                // receiver with an already-claimed signature and be dropped
+                // on arrival, so instead *give away* the best state (claim
+                // travels with it, see `DupFilter::release`) to the neighbour
+                // whose published frontier is worst — and only to one that
+                // actually profits, i.e. whose frontier minimum is strictly
+                // worse than this state.  The receiver force-keeps it;
+                // nothing is wasted.  When the receiver's frontier is *far*
+                // worse (empty, or more than 25% above this PPE's best f),
+                // one state will not keep it busy: ship a k-best batch,
+                // every member still strictly better than the receiver's
+                // published minimum.
+                if let Some(best) = search.policy.peek() {
+                    let target = neighbors
+                        .iter()
+                        .map(|&nb| (shared.local_min_f[nb].load(Ordering::SeqCst), Reverse(nb)))
+                        .filter(|&(min_f, _)| min_f > best.f)
+                        .max();
+                    if let Some((nb_min_f, Reverse(nb))) = target {
+                        let far_worse = nb_min_f == u64::MAX || nb_min_f > best.f + (best.f >> 2);
+                        let batch = if far_worse { ELECTION_BATCH } else { 1 };
+                        let mut shipped = 0u64;
+                        for _ in 0..batch {
+                            if !search.policy.peek().is_some_and(|e| e.f < nb_min_f) {
+                                break;
+                            }
+                            let e = search.policy.pop().expect("peeked a qualifying state above");
+                            let payload =
+                                extract_owned(problem, &mut search.arena, &mut search.dup, e.id);
+                            self.send(nb, Transfer { payload, owned: true, election: true });
+                            shipped += 1;
+                        }
+                        obs::instant("election_send", track, "states", shipped);
+                    }
+                }
+            }
+        }
+
+        // Round-robin load sharing of surplus states to deficit neighbours.
+        let open_len = search.policy.open_len();
+        let neighbor_sizes: Vec<(usize, usize)> = neighbors
+            .iter()
+            .map(|&nb| (nb, shared.open_sizes[nb].load(Ordering::Relaxed)))
+            .collect();
+        let total: usize = open_len + neighbor_sizes.iter().map(|&(_, s)| s).sum::<usize>();
+        let avg = total / (neighbor_sizes.len() + 1);
+        if open_len <= avg + 1 {
+            return;
+        }
+        let deficits: Vec<usize> =
+            neighbor_sizes.iter().filter(|&&(_, s)| s < avg).map(|&(nb, _)| nb).collect();
+        if deficits.is_empty() {
+            return;
+        }
+        // Keep the best state locally and deal the following ones out.  The
+        // kept state goes back on OPEN with a fresh insertion number, behind
+        // any state of an equal key.
+        let keep = search.policy.pop();
+        let outgoing: Vec<StateId> =
+            std::iter::from_fn(|| search.policy.pop()).take(open_len - avg).map(|e| e.id).collect();
+        if let Some(k) = keep {
+            search.push(k.id, k.f, k.h, k.value);
+        }
+        for (i, &sid) in outgoing.iter().enumerate() {
+            // Chain-on-send: a shallow state leaves as its delta chain, a
+            // deep one as a snapshot.  Shipping transfers ownership (see
+            // `DupFilter::release`): the receiver force-inserts it, so the
+            // sole live copy of a claimed signature is never dropped by both
+            // sides of an exchange.
+            let payload = extract_owned(problem, &mut search.arena, &mut search.dup, sid);
+            let to = deficits[i % deficits.len()];
+            self.send(to, Transfer { payload, owned: true, election: false });
+        }
+        obs::instant("load_share", track, "states", outgoing.len() as u64);
+    }
+
+    /// Ships `t` to PPE `to`, counting its records in flight until the
+    /// receiver takes it in (see [`Shared::in_flight_add`]).
+    fn send(&self, to: usize, t: Transfer) {
+        let records = t.payload.records(self.problem);
+        self.shared.in_flight_add(records);
+        if self.txs[to].send(t).is_err() {
+            self.shared.in_flight.fetch_sub(records as i64, Ordering::SeqCst);
+        }
+    }
 }
 
 /// Builds the wire form of state `id` without disturbing the sender's store:
@@ -935,9 +846,11 @@ fn extract_owned(
     payload
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optsched_core::engine::OpenEntry;
     use optsched_core::{AStarScheduler, PruningConfig, SearchLimits};
     use optsched_procnet::{ProcNetwork, Topology};
     use optsched_taskgraph::{paper_example_dag, GraphBuilder};
@@ -1267,28 +1180,80 @@ mod tests {
         }
     }
 
-    /// The ε rule reads at most `FOCAL_SCAN_LIMIT` entries in `(f, h, FIFO)`
-    /// order, takes the smallest `(h, f, seq)` among those within the
-    /// threshold, and leaves every other entry where it was.
-    #[test]
-    fn select_state_takes_the_smallest_h_among_the_first_focal_entries() {
-        let q = |f, h, seq| Queued { key: (f, h), id: seq as StateId, seq, extra: () };
-        let mut open = BucketQueue::new();
-        let pushed = [(10, 5), (10, 5), (11, 1), (12, 0), (13, 0), (10, 5)];
-        for ((f, h), seq) in pushed.into_iter().zip(1..) {
-            open.push(q(f, h, seq));
-        }
-        // fmin = 10, so the threshold is floor(10 · 1.2) = 12.
-        assert_eq!(select_state(&mut open, Some(0.2)).seq, 4);
-        assert_eq!(open.iter().map(|e| e.seq).collect::<Vec<_>>(), [1, 2, 6, 3, 5]);
-        assert_eq!(select_state(&mut open, None).seq, 1);
+    /// A test frontier: `inner`, except that it panics on its fifth pop
+    /// when `armed`.
+    struct PanicOnFifthPop<P> {
+        inner: P,
+        pops: u32,
+        armed: bool,
+    }
 
-        let mut open = BucketQueue::new();
-        for seq in 1..=FOCAL_SCAN_LIMIT as u64 {
-            open.push(q(10, 5, seq));
+    impl<P: FrontierPolicy> FrontierPolicy for PanicOnFifthPop<P> {
+        fn evaluate(
+            &mut self,
+            problem: &SchedulingProblem,
+            parent: &SearchState,
+            delta: &ChildDelta,
+            incumbent_len: Cost,
+            stats: &mut SearchStats,
+        ) -> Option<Cost> {
+            self.inner.evaluate(problem, parent, delta, incumbent_len, stats)
         }
-        open.push(q(11, 0, 100));
-        assert_eq!(select_state(&mut open, Some(0.2)).seq, 1, "h = 0 lies past the scan");
+
+        fn push(&mut self, entry: OpenEntry) {
+            self.inner.push(entry);
+        }
+
+        fn pop(&mut self) -> Option<OpenEntry> {
+            self.pops += 1;
+            if self.armed && self.pops == 5 {
+                panic!("injected PPE panic");
+            }
+            self.inner.pop()
+        }
+
+        fn peek(&mut self) -> Option<OpenEntry> {
+            self.inner.peek()
+        }
+
+        fn open_len(&self) -> usize {
+            self.inner.open_len()
+        }
+    }
+
+    /// A PPE that panics stops its peers, and the panic reaches the caller
+    /// of `run` instead of leaving the other PPEs spinning.  The run happens
+    /// on a helper thread, so a regression fails after a second instead of
+    /// hanging the suite.
+    #[test]
+    fn a_panicking_ppe_stops_the_run_and_the_panic_reaches_the_caller() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let g = generate_random_dag(
+            &RandomDagConfig { nodes: 10, ccr: 1.0, ..Default::default() },
+            &mut rng,
+        );
+        for q in [2, 4] {
+            let prob = SchedulingProblem::new(g.clone(), ProcNetwork::fully_connected(3));
+            let run = std::thread::spawn(move || {
+                let sched = ParallelAStarScheduler::new(&prob, ParallelConfig::exact(q));
+                sched.run_with(|id| PanicOnFifthPop {
+                    inner: AStarPolicy::new(true),
+                    pops: 0,
+                    armed: id == 1,
+                })
+            });
+            let deadline = Instant::now() + Duration::from_secs(1);
+            while !run.is_finished() {
+                assert!(Instant::now() < deadline, "q={q}: the run hung after a PPE panicked");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let panic = run.join().expect_err("the PPE's panic reaches the caller");
+            let message = panic
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned());
+            assert_eq!(message.as_deref(), Some("injected PPE panic"), "q={q}");
+        }
     }
 
     /// The random v = 7 graph of seed 4 behind one extra entry task of

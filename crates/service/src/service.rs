@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use optsched::registry::SchedulerSpec;
-use optsched_core::{SchedulingProblem, SearchLimits, SearchOutcome, SearchResult};
+use optsched_core::{SchedulingProblem, SearchConfig, SearchLimits, SearchOutcome, SearchResult};
 use optsched_schedule::Schedule;
 use optsched_taskgraph::Cost;
 
@@ -45,8 +45,8 @@ pub struct ServiceConfig {
     pub degrade_threshold: u64,
     /// The deadline (ms) clamped onto degraded requests.
     pub degrade_deadline_ms: u64,
-    /// Seed the serial searches from the list-scheduling upper bound (the
-    /// `seed_incumbent` knob of [`SchedulerSpec`]).  On by default in the
+    /// Seed the serial searches from the list-scheduling upper bound
+    /// ([`SearchConfig::seed_incumbent`]).  On by default in the
     /// service: callers pay for answers, not for faithful-to-1998 search
     /// trees.
     pub seed_incumbent: bool,
@@ -341,32 +341,36 @@ impl SchedulingService {
             Ok(answer)
         };
 
+        let limits = SearchLimits {
+            max_millis: req.deadline_ms,
+            max_expansions: req.max_expansions,
+            ..Default::default()
+        };
         let mut spec = SchedulerSpec {
-            limits: SearchLimits {
-                max_millis: req.deadline_ms,
-                max_expansions: req.max_expansions,
+            search: SearchConfig {
+                limits,
+                seed_incumbent: self.config.seed_incumbent,
                 ..Default::default()
             },
             epsilon: plan.epsilon,
             weight: plan.weight,
-            seed_incumbent: self.config.seed_incumbent,
             ..Default::default()
         };
         let mut leg = None;
         if plan.mode == PlanMode::AutoRace {
             // The mid band only exists for requests with a deadline.
             let total = req.deadline_ms.unwrap_or(0);
-            spec.limits.max_millis = Some((total / 4).max(1));
+            spec.search.limits.max_millis = Some((total / 4).max(1));
             leg = search("wastar", &spec).ok();
             let elapsed_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
-            spec.limits.max_millis = Some(total.saturating_sub(elapsed_ms));
+            spec.search.limits.max_millis = Some(total.saturating_sub(elapsed_ms));
         }
         // Only the exact auto bands probe the cache for a structurally near
         // incumbent: the deadline that affords an exact search is what makes
         // the (possibly useless) donor worth validating.
         if matches!(plan.mode, PlanMode::AutoExact | PlanMode::AutoRace) {
             let leg_schedule = leg.as_ref().map(|l| &l.schedule);
-            spec.warm_start =
+            spec.search.warm_start =
                 self.warm_start_candidate(signature, canon, instance, upper_bound, leg_schedule);
         }
         let mut answer = search(&plan.algorithm, &spec)?;

@@ -53,8 +53,8 @@ pub mod prelude {
     pub use crate::registry::{SchedulerSpec, SearchReport};
     pub use optsched_core::{
         exhaustive_optimal, AEpsScheduler, AStarScheduler, ArenaConfig, ChenYuScheduler,
-        ExhaustiveScheduler, HeuristicKind, PruningConfig, SchedulingProblem, SearchLimits,
-        SearchOutcome, SearchResult, SearchStats, WAStarScheduler,
+        ExhaustiveScheduler, HeuristicKind, PruningConfig, SchedulingProblem, SearchConfig,
+        SearchLimits, SearchOutcome, SearchResult, SearchStats, WAStarScheduler,
     };
     pub use optsched_listsched::{
         best_heuristic_schedule, list_schedule, upper_bound, upper_bound_schedule, ListConfig,

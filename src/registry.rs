@@ -10,17 +10,16 @@
 //! picks it up.
 
 use optsched_core::{
-    AEpsScheduler, AStarScheduler, ChenYuScheduler, ExhaustiveScheduler, HeuristicKind,
-    PruningConfig, SchedulingProblem, SearchLimits, SearchOutcome, SearchResult, SearchStats,
-    WAStarScheduler,
+    AEpsScheduler, AStarScheduler, ChenYuScheduler, ExhaustiveScheduler, SchedulingProblem,
+    SearchConfig, SearchOutcome, SearchResult, SearchStats, WAStarScheduler,
 };
 use optsched_listsched::upper_bound_schedule;
 use optsched_parallel::{ParallelAStarScheduler, ParallelConfig, ParallelSearchResult};
-use optsched_schedule::Schedule;
 
 /// The result of a dispatched run: the uniform [`SearchResult`] plus any
 /// family-specific extras (e.g. the parallel scheduler's CLOSED-table
-/// counters) as displayable label/value pairs.
+/// counters) as displayable label/value pairs — only what the uniform
+/// statistics cannot say.
 #[derive(Debug, Clone)]
 pub struct SearchReport {
     /// The uniform search result (schedule, outcome, stats, elapsed time).
@@ -33,35 +32,26 @@ pub struct SearchReport {
 /// knobs that apply to it.
 #[derive(Debug, Clone)]
 pub struct SchedulerSpec {
-    /// Resource limits (all families, including `exhaustive`; for
-    /// `parallel` they override [`ParallelConfig::limits`]).
-    pub limits: SearchLimits,
-    /// Pruning techniques (A\* family; Chen & Yu and exhaustive ignore it by
-    /// construction).
-    pub pruning: PruningConfig,
-    /// Admissible heuristic (A\* family).
-    pub heuristic: HeuristicKind,
+    /// The search configuration of the serial families.
+    ///
+    /// * [`SearchConfig::limits`] applies to every family, `exhaustive`
+    ///   included; for `parallel` it overrides [`ParallelConfig::limits`].
+    /// * [`SearchConfig::pruning`] and [`SearchConfig::heuristic`] apply to
+    ///   the A\* family (`astar`, `wastar`, `aeps`).  Chen & Yu and
+    ///   exhaustive ignore them by construction, and `parallel` reads
+    ///   [`ParallelConfig`]'s.
+    /// * [`SearchConfig::seed_incumbent`] and [`SearchConfig::warm_start`]
+    ///   apply to `astar`, `wastar`, `aeps` and `chenyu`.  Seeding is off by
+    ///   default (the classic behaviour, and what the pinned
+    ///   `tests/engine_equivalence.rs` literals measure); the scheduling
+    ///   service switches it on.
+    pub search: SearchConfig,
     /// Approximation factor of `aeps` (also applied to `parallel` when
     /// [`ParallelConfig::epsilon`] is set there).
     pub epsilon: f64,
     /// Heuristic weight of `wastar` (`>= 1`; 1.0 makes it bit-identical to
     /// `astar`).
     pub weight: f64,
-    /// Seeds the serial searches (`astar`, `wastar`, `aeps`, `chenyu`) with
-    /// the list-scheduling schedule as an *attained* incumbent: the
-    /// branch-and-bound elimination starts from the list upper bound instead
-    /// of infinity and the upper-bound rule prunes states that cannot
-    /// strictly improve on it.  Off by default (the classic behaviour, and
-    /// what the pinned `tests/engine_equivalence.rs` literals measure); the
-    /// scheduling service switches it on.
-    pub seed_incumbent: bool,
-    /// A complete schedule attained by an earlier run (a cached near-match,
-    /// the anytime leg of a race) handed to the serial searches (`astar`,
-    /// `wastar`, `aeps`, `chenyu`) as a candidate starting incumbent.  The
-    /// engine adopts it only when it beats the incumbent the run would start
-    /// from otherwise; the caller must guarantee it is feasible for the
-    /// problem being solved.  `None` (the default) changes nothing.
-    pub warm_start: Option<Schedule>,
     /// Configuration of the `parallel` family.
     pub parallel: ParallelConfig,
 }
@@ -69,13 +59,9 @@ pub struct SchedulerSpec {
 impl Default for SchedulerSpec {
     fn default() -> Self {
         SchedulerSpec {
-            limits: SearchLimits::unlimited(),
-            pruning: PruningConfig::all(),
-            heuristic: HeuristicKind::default(),
+            search: SearchConfig::default(),
             epsilon: 0.2,
             weight: 1.0,
-            seed_incumbent: false,
-            warm_start: None,
             parallel: ParallelConfig::default(),
         }
     }
@@ -118,34 +104,19 @@ impl SchedulerSpec {
     /// Runs the family called `name` on `problem` with this spec's knobs;
     /// `None` when `name` is not one of [`NAMES`].
     pub fn run(&self, name: &str, problem: &SchedulingProblem) -> Option<SearchReport> {
+        let search = &self.search;
         let result = match name {
-            "astar" => AStarScheduler::new(problem)
-                .with_pruning(self.pruning)
-                .with_heuristic(self.heuristic)
-                .with_limits(self.limits)
-                .with_seeded_incumbent(self.seed_incumbent)
-                .with_warm_start(self.warm_start.clone())
-                .run(),
-            "wastar" => WAStarScheduler::new(problem, self.weight)
-                .with_pruning(self.pruning)
-                .with_heuristic(self.heuristic)
-                .with_limits(self.limits)
-                .with_seeded_incumbent(self.seed_incumbent)
-                .with_warm_start(self.warm_start.clone())
-                .run(),
-            "aeps" => AEpsScheduler::new(problem, self.epsilon)
-                .with_pruning(self.pruning)
-                .with_heuristic(self.heuristic)
-                .with_limits(self.limits)
-                .with_seeded_incumbent(self.seed_incumbent)
-                .with_warm_start(self.warm_start.clone())
-                .run(),
+            "astar" => AStarScheduler::new(problem).with_config(search.clone()).run(),
+            "wastar" => {
+                WAStarScheduler::new(problem, self.weight).with_config(search.clone()).run()
+            }
+            "aeps" => AEpsScheduler::new(problem, self.epsilon).with_config(search.clone()).run(),
             "chenyu" => ChenYuScheduler::new(problem)
-                .with_limits(self.limits)
-                .with_seeded_incumbent(self.seed_incumbent)
-                .with_warm_start(self.warm_start.clone())
+                .with_limits(search.limits)
+                .with_seeded_incumbent(search.seed_incumbent)
+                .with_warm_start(search.warm_start.clone())
                 .run(),
-            "exhaustive" => ExhaustiveScheduler::new(problem).with_limits(self.limits).run(),
+            "exhaustive" => ExhaustiveScheduler::new(problem).with_limits(search.limits).run(),
             "list" => {
                 let start = std::time::Instant::now();
                 let schedule = upper_bound_schedule(problem.graph(), problem.network());
@@ -183,28 +154,19 @@ impl SchedulerSpec {
     }
 
     /// The `parallel` family: the spec's limits override
-    /// [`ParallelConfig::limits`], and the PPE and CLOSED-table counters come
-    /// back as extras.
+    /// [`ParallelConfig::limits`], and what the totals over the PPEs cannot
+    /// say comes back as extras: the cross-PPE duplicates, the memory
+    /// headline with the in-flight peak, the elections and the CLOSED table.
     fn run_parallel(&self, problem: &SchedulingProblem) -> SearchReport {
         let mut cfg = self.parallel;
-        cfg.limits = self.limits;
+        cfg.limits = self.search.limits;
         let r = ParallelAStarScheduler::new(problem, cfg).run();
-        let totals = r.total_stats();
         let mut extras = vec![
-            ("states expanded".to_string(), r.total_expanded().to_string()),
             (
                 "redundant cross-PPE expansions avoided".to_string(),
                 r.redundant_expansions_avoided().to_string(),
             ),
             ("peak_live_states".to_string(), r.peak_live_states().to_string()),
-            ("peak_live_records".to_string(), totals.peak_live_records.to_string()),
-            ("reclaimed_records".to_string(), totals.reclaimed_records.to_string()),
-            ("path-cache hit rate".to_string(), path_cache_hit_rate(&totals)),
-            (
-                "path-cache ancestor hits".to_string(),
-                totals.path_cache_ancestor_hits.to_string(),
-            ),
-            ("replayed deltas saved".to_string(), totals.replayed_deltas_saved.to_string()),
             ("in-flight peak".to_string(), r.peak_in_flight.to_string()),
             ("election transfers".to_string(), r.election_transfers().to_string()),
         ];
@@ -226,6 +188,7 @@ impl SchedulerSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optsched_core::SearchLimits;
     use optsched_procnet::ProcNetwork;
     use optsched_taskgraph::paper_example_dag;
 
@@ -266,23 +229,29 @@ mod tests {
         assert!(list.result.schedule_length >= 14);
     }
 
+    /// The parallel extras hold only what the uniform statistics cannot
+    /// say; the expansion and arena counters are in `result.stats`, summed
+    /// over the PPEs, as for every other family.
     #[test]
     fn parallel_entry_reports_extras() {
         let problem = example_problem();
         let spec = SchedulerSpec::default();
         let report = spec.run("parallel", &problem).unwrap();
-        assert!(report.extras.iter().any(|(k, _)| k == "states expanded"));
-        assert!(report.extras.iter().any(|(k, _)| k == "peak_live_states"));
-        assert!(report.extras.iter().any(|(k, _)| k == "peak_live_records"));
-        assert!(report.extras.iter().any(|(k, _)| k == "reclaimed_records"));
-        assert!(report.extras.iter().any(|(k, _)| k == "path-cache hit rate"));
-        assert!(report.extras.iter().any(|(k, _)| k == "path-cache ancestor hits"));
-        assert!(report.extras.iter().any(|(k, _)| k == "replayed deltas saved"));
-        assert!(report.extras.iter().any(|(k, _)| k == "election transfers"));
-        assert!(
-            report.extras.iter().any(|(k, _)| k == "closed table"),
-            "default mode is sharded, which reports table stats"
+        let labels: Vec<&str> = report.extras.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "redundant cross-PPE expansions avoided",
+                "peak_live_states",
+                "in-flight peak",
+                "election transfers",
+                "closed table", // the default mode is sharded
+            ]
         );
+        let stats = &report.result.stats;
+        assert!(stats.expanded > 0 && stats.generated > 0);
+        assert!(stats.peak_live_records > 0 && stats.reclaimed_records > 0);
+        assert!(stats.materialisations > 0);
         let desc = spec.describe("parallel").unwrap();
         assert!(desc.contains("sharded"), "{desc}");
     }
@@ -322,10 +291,9 @@ mod tests {
     #[test]
     fn spec_knobs_flow_through() {
         let problem = example_problem();
-        let spec = SchedulerSpec {
-            limits: SearchLimits::expansions(1),
-            ..SchedulerSpec::default()
-        };
+        let limits = SearchLimits::expansions(1);
+        let search = SearchConfig { limits, ..SearchConfig::default() };
+        let spec = SchedulerSpec { search, ..SchedulerSpec::default() };
         for name in ["astar", "wastar", "exhaustive"] {
             let report = spec.run(name, &problem).unwrap();
             assert_eq!(report.result.outcome, SearchOutcome::LimitReached, "{name}");
@@ -338,7 +306,8 @@ mod tests {
     #[test]
     fn weight_and_seed_knobs_flow_through() {
         let problem = example_problem();
-        let spec = SchedulerSpec { weight: 2.0, seed_incumbent: true, ..SchedulerSpec::default() };
+        let search = SearchConfig { seed_incumbent: true, ..SearchConfig::default() };
+        let spec = SchedulerSpec { weight: 2.0, search, ..SchedulerSpec::default() };
         assert!(spec.describe("wastar").unwrap().contains("w = 2"));
         let w = spec.run("wastar", &problem).unwrap();
         assert!(w.result.schedule_length <= 28, "2 x optimal bound");

@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: every algorithm, every substrate, on the
 //! paper's random workloads and on the structured application graphs.
 
+use std::time::{Duration, Instant};
+
 use optsched::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -161,4 +163,35 @@ fn serde_round_trips_across_crates() {
     let sched_back: Schedule = serde_json::from_str(&sched_json).unwrap();
     assert_eq!(sched_back.makespan(), r.schedule_length);
     sched_back.validate(problem.graph(), problem.network()).unwrap();
+}
+
+/// A budget stops a search that cannot finish, on the clock's cadence path:
+/// budgets above 16 ms read the clock every 1024 expansions, not on every
+/// one.  Serial A\* runs for far more than seconds on this v = 16 graph on
+/// 4 fully connected processors (the budget caps the instance, it is not
+/// shrunk).  Under a 40 ms budget, serial `astar` and `parallel` at q = 2
+/// each return a validated schedule no longer than the list schedule, as
+/// `LimitReached`, within the budget plus a second.
+#[test]
+fn a_budget_stops_a_search_that_cannot_finish() {
+    const BUDGET_MS: u64 = 40;
+    let mut rng = StdRng::seed_from_u64(1);
+    let graph = generate_random_dag(
+        &RandomDagConfig { nodes: 16, ccr: 1.0, ..Default::default() },
+        &mut rng,
+    );
+    let problem = SchedulingProblem::new(graph, ProcNetwork::fully_connected(4));
+    let mut spec = SchedulerSpec::default();
+    spec.search.limits.max_millis = Some(BUDGET_MS);
+    spec.parallel.num_ppes = 2;
+    for name in ["astar", "parallel"] {
+        let start = Instant::now();
+        let result = spec.run(name, &problem).expect(name).result;
+        let wall = start.elapsed();
+        assert_eq!(result.outcome, SearchOutcome::LimitReached, "{name}");
+        let schedule = result.schedule.as_ref().expect(name);
+        schedule.validate(problem.graph(), problem.network()).unwrap();
+        assert!(schedule.makespan() <= problem.upper_bound(), "{name}");
+        assert!(wall < Duration::from_millis(BUDGET_MS + 1000), "{name}: took {wall:?}");
+    }
 }

@@ -151,13 +151,13 @@ fn single_ppe_parallel_counts_are_pinned_across_modes() {
 /// (name, ε = 0.2 length, expanded, generated, ε = 0.5 length, expanded,
 ///  generated).
 ///
-/// The ε-bounded PPE selects among the first 64 FOCAL entries of its OPEN
-/// list, in `(f, h, FIFO)` order, rather than with the serial `FocalPolicy`
-/// rule; these counts pin that rule as `PINNED_PARALLEL_Q1` pins the exact
-/// one.  Captured at the change that moved the PPE's OPEN from a binary heap
-/// to the engine's bucket queue, from the heap version; identical across
-/// both duplicate-detection modes.  Re-pin in the same commit if an
-/// intentional change moves them.
+/// The ε-bounded PPE steps the serial search with `FocalPolicy`, the serial
+/// Aε\* rule; these counts pin it as `PINNED_PARALLEL_Q1` pins the exact
+/// mode.  Captured at the change that made every PPE drive the engine's
+/// `Search::step` (the PPE had its own rule before: the smallest `h` among
+/// the first 64 entries in `(f, h, FIFO)` order); identical across both
+/// duplicate-detection modes.  Re-pin in the same commit if an intentional
+/// change moves them.
 const PINNED_PARALLEL_Q1_EPS: &[(&str, Cost, u64, u64, Cost, u64, u64)] = &[
     ("paper-example", 14, 1, 1, 14, 1, 1),
     ("fork-join", 16, 3, 5, 16, 1, 1),
@@ -168,8 +168,8 @@ const PINNED_PARALLEL_Q1_EPS: &[(&str, Cost, u64, u64, Cost, u64, u64)] = &[
     ("random-v7-ccr0.1", 163, 3, 8, 163, 3, 8),
     ("random-v6-ccr1", 203, 1, 1, 203, 1, 1),
     ("random-v7-ccr1", 193, 155, 302, 193, 127, 278),
-    ("random-v6-ccr10", 256, 223, 401, 256, 223, 401),
-    ("random-v7-ccr10", 225, 177, 267, 225, 11, 22),
+    ("random-v6-ccr10", 256, 337, 520, 360, 319, 497),
+    ("random-v7-ccr10", 225, 158, 246, 225, 11, 22),
 ];
 
 #[test]
