@@ -11,8 +11,8 @@
 //! the global table, the peak number of live full states any PPE held (the
 //! state-store memory measure), the arena-lifecycle counters (peak live
 //! records and records reclaimed by the chain GC, summed across PPEs), the
-//! peak number of *records* in flight between PPEs (a snapshot costs `v`
-//! records, a shipped delta chain only its depth), and the load imbalance
+//! peak number of *records* in flight between PPEs (every shipped state
+//! is a snapshot of `v` records), and the load imbalance
 //! between the busiest and laziest PPE.  Every configuration must return
 //! the optimal schedule length.
 //!
@@ -137,7 +137,7 @@ fn main() {
             let redundant = r.total_expanded() as f64 / serial.stats.expanded.max(1) as f64;
             let avoided = r.redundant_expansions_avoided();
             // Airtight headline: per-PPE store peak + in-flight transfer peak
-            // (the latter counted in *records* since delta chains ship as-is).
+            // (the latter counted in *records*, `v` per shipped state).
             let peak_live = r.peak_live_states();
             let peak_in_flight = r.peak_in_flight;
             let totals = r.total_stats();
@@ -146,8 +146,8 @@ fn main() {
             let replayed = totals.replayed_deltas;
             let replay_saved = totals.replayed_deltas_saved;
             // Share of delta applications the arena actually replayed out of
-            // what a cache-less walk-to-snapshot arena would have replayed —
-            // the smaller, the better the scratch/path-cache/ancestor reuse.
+            // what walking every replay down to a full slot would have
+            // replayed — the smaller, the more the scratch state is reused.
             let replay_overhead_pct = if replayed + replay_saved == 0 {
                 0.0
             } else {
@@ -203,13 +203,11 @@ fn main() {
                      \"reclaimed_records\": {reclaimed}, \
                      \"replayed_deltas\": {replayed}, \
                      \"replayed_deltas_saved\": {replay_saved}, \
-                     \"path_cache_ancestor_hits\": {}, \
                      \"replay_overhead_pct\": {replay_overhead_pct:.1}, \
                      \"peak_in_flight\": {peak_in_flight}, \
                      \"election_transfers\": {elections}, \
                      \"schedule_length\": {}}}",
                     r.total_expanded(),
-                    totals.path_cache_ancestor_hits,
                     r.schedule_length()
                 ));
             }

@@ -4,9 +4,8 @@
 //! through the facade's scheduler registry once per instance and recorded
 //! as wall-clock time, the peak number of live fully materialised states
 //! (the allocation proxy) and the record-lifecycle counters: peak live arena
-//! records, records reclaimed by the chain GC, deltas replayed during
-//! materialisation, and the replay path-cache hits that cut those replays
-//! short.
+//! records, records reclaimed by the chain GC and deltas replayed during
+//! materialisation.
 //!
 //! Since the `seed_incumbent` knob exists (the scheduling service's
 //! default), the A* and Chen & Yu rows are additionally measured *seeded*:
@@ -40,7 +39,7 @@ fn main() {
     let ccr = 1.0;
     let limits = SearchLimits { max_millis: opts.budget_ms, ..Default::default() };
     let mut csv = CsvWriter::new(
-        "size,ccr,scheduler,seeded,schedule_length,optimal,expanded,generated,peak_live_states,peak_live_records,reclaimed_records,replayed_deltas,path_cache_hits,max_open_size,time_ms,timed_out",
+        "size,ccr,scheduler,seeded,schedule_length,optimal,expanded,generated,peak_live_states,peak_live_records,reclaimed_records,replayed_deltas,max_open_size,time_ms,timed_out",
     );
     let mut json_rows: Vec<String> = Vec::new();
 
@@ -116,7 +115,6 @@ fn main() {
                 r.stats.peak_live_records.to_string(),
                 r.stats.reclaimed_records.to_string(),
                 r.stats.replayed_deltas.to_string(),
-                r.stats.path_cache_hits.to_string(),
                 r.stats.max_open_size.to_string(),
                 format!("{ms:.3}"),
                 timed_out.to_string(),
@@ -126,8 +124,7 @@ fn main() {
                  \"seeded\": {seeded}, \"schedule_length\": {}, \"optimal\": {}, \
                  \"expanded\": {}, \"generated\": {}, \"peak_live_states\": {}, \
                  \"peak_live_records\": {}, \"reclaimed_records\": {}, \
-                 \"replayed_deltas\": {}, \"path_cache_hits\": {}, \
-                 \"max_open_size\": {}, \"time_ms\": {ms:.3}, \"timed_out\": {timed_out}}}",
+                 \"replayed_deltas\": {}, \"max_open_size\": {}, \"time_ms\": {ms:.3}, \"timed_out\": {timed_out}}}",
                 r.schedule_length,
                 r.is_optimal(),
                 r.stats.expanded,
@@ -136,7 +133,6 @@ fn main() {
                 r.stats.peak_live_records,
                 r.stats.reclaimed_records,
                 r.stats.replayed_deltas,
-                r.stats.path_cache_hits,
                 r.stats.max_open_size,
             ));
             // Seeding must never change the answer, only the work (aeps is

@@ -23,8 +23,9 @@
 //! The `--algorithm` value is dispatched through the facade's
 //! [`SchedulerSpec::run`]; the CLI has no per-algorithm code paths.  The
 //! text report has an `outcome` line (completed, or which limit stopped the
-//! search) and the state store's `peak_live_records`, `reclaimed_records`
-//! and path-cache hit-rate counters.  Each subcommand rejects, as a usage
+//! search), the expanded, generated and duplicate counts, the elapsed time,
+//! and the state store's `peak_live_records`, `reclaimed_records` and
+//! replayed-deltas-saved counters.  Each subcommand rejects, as a usage
 //! error and before it reads any input, a flag that is not on its usage
 //! line, a value that does not parse, an unknown topology and an unknown
 //! algorithm.
@@ -63,7 +64,7 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use optsched::registry::{path_cache_hit_rate, SchedulerSpec, NAMES};
+use optsched::registry::{SchedulerSpec, NAMES};
 use optsched_core::{AStarScheduler, SchedulingProblem, SearchConfig, SearchLimits, SearchOutcome};
 use optsched_procnet::{ProcNetwork, Topology};
 use optsched_schedule::{render_gantt, Schedule};
@@ -345,8 +346,6 @@ fn cmd_schedule(args: &Args) -> Result<ExitCode, String> {
             ("elapsed_ms", elapsed_ms),
             ("peak_live_records", s.peak_live_records.to_string()),
             ("reclaimed_records", s.reclaimed_records.to_string()),
-            ("path-cache hit rate", path_cache_hit_rate(s)),
-            ("path-cache ancestor hits", s.path_cache_ancestor_hits.to_string()),
             ("replayed deltas saved", s.replayed_deltas_saved.to_string()),
         ];
         for (label, value) in stats {

@@ -517,46 +517,6 @@ impl SearchState {
         self.h = other.h;
     }
 
-    /// Decomposes this state into a chain of [`ChildDelta`]s that, replayed
-    /// in order onto the problem's *initial* state, rebuilds a state equal to
-    /// `self` in every observable field (signature, `g`, `h`, depth,
-    /// `max_finish_node`, processor ready times, ready set).
-    ///
-    /// This is the receive-side half of the parallel scheduler's
-    /// materialise-on-send protocol: a state arriving from another PPE is a
-    /// full `SearchState`, but a delta arena can re-root it as this chain and
-    /// keep holding only fixed-size records.  The chain is *not* the sender's
-    /// generation history — it replays the assignments in ascending finish
-    /// order (a valid topological order, since a successor can only start at
-    /// or after its predecessor's finish), with the true `max_finish_node`
-    /// deliberately placed last among equal-finish assignments so the replay
-    /// reproduces it exactly.  Intermediate `h` values are not reconstructed
-    /// (they are never observed — only the final slot of a chain is
-    /// materialised); the final delta carries this state's true `h`.
-    pub fn to_delta_chain(&self) -> Vec<ChildDelta> {
-        let mut assignments: Vec<NodeId> = (0..self.proc_of.len())
-            .filter(|&i| self.scheduled.contains(i))
-            .map(|i| NodeId(i as u32))
-            .collect();
-        assignments
-            .sort_by_key(|&n| (self.finish[n.index()], Some(n) == self.max_finish_node, n));
-        let last = assignments.len().checked_sub(1);
-        assignments
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| ChildDelta {
-                node: n,
-                proc: ProcId(u32::from(self.proc_of[n.index()])),
-                start: self.start[n.index()],
-                finish: self.finish[n.index()],
-                // In ascending finish order the running schedule length is
-                // exactly the finish of the assignment just applied.
-                g: self.finish[n.index()],
-                h: if Some(i) == last { self.h } else { 0 },
-            })
-            .collect()
-    }
-
     /// The exact signature of this partial schedule (for duplicate detection).
     pub fn signature(&self) -> StateSignature {
         let mut sig = StateSignature::empty(self.proc_of.len());
@@ -934,9 +894,10 @@ mod tests {
         assert!(scratch.is_goal(&prob));
     }
 
-    /// `to_delta_chain` + replay must reproduce every observable field of the
-    /// decomposed state, whatever order the original schedule was built in —
-    /// including equal-finish ties, where `max_finish_node` must survive.
+    /// Replaying a trace's deltas, collected with `peek_child` along the way,
+    /// must reproduce every observable field of the state, whatever order the
+    /// schedule was built in — including equal-finish ties, where
+    /// `max_finish_node` must survive.
     #[test]
     fn delta_chain_replay_reproduces_the_state() {
         let prob = example_problem();
@@ -951,10 +912,11 @@ mod tests {
         ];
         for trace in traces {
             let mut state = SearchState::initial(&prob);
+            let mut chain = Vec::new();
             for &(n, p) in *trace {
+                chain.push(state.peek_child(&prob, NodeId(n), ProcId(p), h));
                 state = state.schedule_node(&prob, NodeId(n), ProcId(p), h);
             }
-            let chain = state.to_delta_chain();
             assert_eq!(chain.len(), trace.len());
             let mut replayed = SearchState::initial(&prob);
             for d in &chain {
@@ -979,7 +941,6 @@ mod tests {
                 }
             }
         }
-        assert!(SearchState::initial(&prob).to_delta_chain().is_empty());
     }
 
     #[test]

@@ -61,19 +61,17 @@ pub struct SearchStats {
     /// Delta-chain materialisations performed by the arena (full-snapshot
     /// fast-path reads are free and not counted).
     pub materialisations: u64,
-    /// Materialisations whose replay started from a path-cache entry instead
-    /// of walking to a full snapshot (scratch-state reuse not counted).
+    /// Always 0: the arena keeps no path-cache.  The field stays for callers
+    /// that report it.
     pub path_cache_hits: u64,
-    /// The subset of [`path_cache_hits`](SearchStats::path_cache_hits) whose
-    /// cached entry was a strict *ancestor* of the requested state rather
-    /// than an exact-id hit — the replay-from-nearest-ancestor win.
+    /// Always 0, like [`path_cache_hits`](SearchStats::path_cache_hits).
     pub path_cache_ancestor_hits: u64,
     /// Total deltas replayed across all materialisations — the arena's CPU
-    /// overhead that the scratch state and path-cache exist to shrink.
+    /// overhead that the scratch state exists to shrink.
     pub replayed_deltas: u64,
     /// Total deltas *not* replayed because materialisation reused the scratch
-    /// state or a cached ancestor as its base instead of walking to a full
-    /// snapshot (the depth of the reused base, summed over those replays).
+    /// state as its base instead of walking to a full slot (the depth of the
+    /// scratch state, summed over those replays).
     pub replayed_deltas_saved: u64,
     /// Heuristic evaluations performed (one per generated state; the Chen &
     /// Yu baseline additionally counts its per-path evaluations here).

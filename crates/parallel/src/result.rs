@@ -26,8 +26,7 @@ pub struct ParallelSearchResult {
     /// Number of PPE threads used.
     pub num_ppes: usize,
     /// High-water mark of the `in_flight` gauge in fixed-size state
-    /// *records*: one per scheduled node of a shipped delta chain, `v` (the
-    /// node count) per snapshot.  Whatever is
+    /// *records*: `v` (the node count) per shipped snapshot.  Whatever is
     /// parked in the inter-PPE channels is owned by no PPE's state store, so
     /// it escapes the per-PPE `peak_live_states` counters; the result folds
     /// the peak back in (see [`ParallelSearchResult::peak_live_states`]) so

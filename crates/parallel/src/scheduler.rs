@@ -30,16 +30,15 @@
 //!   and one that panics.
 //!
 //! Each PPE stores its search frontier in its search's private
-//! [`StateArena`]: generated children live as parent-id + [`ChildDelta`]
-//! records, and a full [`SearchState`] is built only when a state is
-//! selected for expansion (scratch replay).  A shallow state moves between
-//! PPEs as its *delta chain* (extracted without materialising, re-rooted
-//! below the receiver's slot-0 initial state); one deeper than four
-//! (`SNAPSHOT_DEPTH_THRESHOLD`) moves as a single snapshot.  Expanded,
-//! goal-popped and shipped-away states release their records, so the record
-//! count tracks the live frontier instead of the whole history.  The
-//! `in_flight` gauge counts fixed-size *records* (one per scheduled node of a
-//! chain, `v` per snapshot) so both transfer forms share one unit.
+//! [`StateArena`]: generated children live as parent-id +
+//! [`ChildDelta`](optsched_core::state::ChildDelta) records, and a full
+//! [`SearchState`] is built only when a state is selected for expansion
+//! (scratch replay).  Every state moves between PPEs as one materialised
+//! snapshot, which the receiver adopts as a single full record that the
+//! state's descendants replay from.  Expanded, goal-popped and shipped-away
+//! states release their records, so the record count tracks the live
+//! frontier instead of the whole history.  The `in_flight` gauge counts `v`
+//! fixed-size *records* per state in the channels.
 
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -52,7 +51,7 @@ use optsched_core::engine::{
     focal_threshold, AStarPolicy, DuplicateFilter, FocalPolicy, FrontierPolicy, Incumbent, Search,
     SearchConfig, SignatureSet, StateArena, StateId, Step,
 };
-use optsched_core::state::{ChildDelta, StateSignature};
+use optsched_core::state::StateSignature;
 use optsched_core::{SchedulingProblem, SearchOutcome, SearchState, SearchStats};
 use optsched_obs as obs;
 use optsched_schedule::Schedule;
@@ -62,104 +61,15 @@ use crate::closed::{ClaimOutcome, DuplicateDetection, ShardedClosedTable};
 use crate::config::ParallelConfig;
 use crate::result::ParallelSearchResult;
 
-/// Transfer depth at or below which a delta arena ships the raw chain; any
-/// deeper and it materialises the state and ships one snapshot instead.  A
-/// shallow chain is a couple of fixed-size records — cheaper than a clone on
-/// both ends — but a deep one costs the receiver `d` record insertions plus a
-/// refcount cascade of `d` releases when the state dies, which is what kept
-/// transfer-heavy runs slow.  A snapshot adopts (and reclaims) as one record
-/// and doubles as a nearby replay base for every descendant.
-const SNAPSHOT_DEPTH_THRESHOLD: usize = 4;
-
 /// Largest number of states the `ShardedGlobal` best-state election ships in
 /// one phase when the receiver's published frontier minimum is *far* worse
 /// than this PPE's best `f` (empty, or more than 25% above).  Every batch
 /// member is still strictly better than the receiver's published minimum.
 const ELECTION_BATCH: usize = 4;
 
-/// The wire form of a state travelling between PPEs.
-#[derive(Clone)]
-enum Payload {
-    /// A fully materialised clone — the form of states deeper than
-    /// [`SNAPSHOT_DEPTH_THRESHOLD`] and of the initial distribution, adopted
-    /// as a single snapshot record.
-    Full(SearchState),
-    /// A root-anchored delta chain (depth-ordered, last delta carries the
-    /// state's true `g`/`h`) — the form of shallow states: at most
-    /// [`SNAPSHOT_DEPTH_THRESHOLD`] fixed-size [`ChildDelta`] records,
-    /// extracted from the sender's arena without materialising and re-rooted
-    /// below the receiver's slot-0 initial state.
-    Chain(Vec<ChildDelta>),
-}
-
-impl Payload {
-    /// Channel footprint in fixed-size records: one per scheduled node of a
-    /// chain, one per node (`v`) for a snapshot — the unit in which the
-    /// `in_flight` gauge and its peak are kept.
-    fn records(&self, problem: &SchedulingProblem) -> u64 {
-        match self {
-            Payload::Full(_) => problem.num_nodes() as u64,
-            Payload::Chain(chain) => chain.len() as u64,
-        }
-    }
-
-    /// `(f, g, h)` of the state this payload denotes, without materialising.
-    fn costs(&self) -> (Cost, Cost, Cost) {
-        match self {
-            Payload::Full(s) => (s.f(), s.g(), s.h()),
-            Payload::Chain(chain) => {
-                let last = chain.last().expect("transfers never ship the depth-0 root");
-                (last.f(), last.g, last.h)
-            }
-        }
-    }
-
-    /// True when the payload denotes a complete schedule.
-    fn is_goal(&self, problem: &SchedulingProblem) -> bool {
-        match self {
-            Payload::Full(s) => s.is_goal(problem),
-            Payload::Chain(chain) => chain.len() == problem.num_nodes(),
-        }
-    }
-
-    /// The partial schedule's signature (chains fold their assignments onto
-    /// the initial state's signature without building a full state).
-    fn signature(&self, problem: &SchedulingProblem) -> StateSignature {
-        match self {
-            Payload::Full(s) => s.signature(),
-            Payload::Chain(chain) => chain_signature(problem, chain),
-        }
-    }
-
-    /// Rebuilds the full state (delta replay for chains).  Only needed on
-    /// the rare goal-arrival path; everything else reads the payload as is.
-    fn to_state(&self, problem: &SchedulingProblem) -> SearchState {
-        match self {
-            Payload::Full(s) => s.clone(),
-            Payload::Chain(chain) => {
-                let mut s = SearchState::initial(problem);
-                for d in chain {
-                    s.apply_delta_in_place(problem, d);
-                }
-                s
-            }
-        }
-    }
-}
-
-/// Signature of the state a root-anchored delta chain denotes: the chain's
-/// assignments folded onto the initial (empty) signature.
-fn chain_signature(problem: &SchedulingProblem, chain: &[ChildDelta]) -> StateSignature {
-    let mut sig = SearchState::initial(problem).signature();
-    for d in chain {
-        sig = sig.with_assignment(d.node, d.proc, d.start);
-    }
-    sig
-}
-
-/// A state travelling between PPEs.
+/// A state travelling between PPEs, as a materialised snapshot.
 struct Transfer {
-    payload: Payload,
+    state: SearchState,
     /// True when the sender popped the state from its own OPEN list (load
     /// sharing, or the sharded-mode ownership-transferring election): the
     /// receiver is the state's new owner and must keep it.  False for the
@@ -258,10 +168,9 @@ struct Shared {
     local_min_f: Vec<AtomicU64>,
     /// Size of each PPE's OPEN list (for load sharing).
     open_sizes: Vec<AtomicUsize>,
-    /// Fixed-size state records currently travelling between PPEs (one per
-    /// scheduled node of a shipped delta chain, `v` per snapshot).  Zero
-    /// exactly when no transfer is outstanding, which is all the termination
-    /// test needs.
+    /// Fixed-size state records currently travelling between PPEs, `v` per
+    /// shipped state.  Zero exactly when no transfer is outstanding, which is
+    /// all the termination test needs.
     in_flight: AtomicI64,
     /// High-water mark of `in_flight`: the most transfer *records* that were
     /// ever parked in the channels at once.  Those records are owned by no
@@ -309,8 +218,8 @@ impl Shared {
     /// Registers `records` more state records entering the channels,
     /// updating the in-flight high-water mark.  Every send site must use
     /// this (and undo with a plain `fetch_sub` of the same amount on a
-    /// failed send), and every receive must subtract exactly the payload's
-    /// record count, so the gauge and its peak never diverge.
+    /// failed send), and every receive must subtract the same `v` records,
+    /// so the gauge and its peak never diverge.
     fn in_flight_add(&self, records: u64) {
         let now = self.in_flight.fetch_add(records as i64, Ordering::SeqCst) + records as i64;
         if now > 0 {
@@ -586,8 +495,7 @@ impl<'a> Ppe<'a> {
         let track = search.track();
         let _obs_span = obs::span("ppe", track).with_arg("ppe", self.id as u64);
         for state in initial {
-            let dealt = Transfer { payload: Payload::Full(state), owned: false, election: false };
-            self.adopt(&mut search, dealt);
+            self.adopt(&mut search, Transfer { state, owned: false, election: false });
         }
 
         let mut comm_period = (problem.num_nodes() as u64 / 2).max(cfg.min_comm_period);
@@ -603,7 +511,7 @@ impl<'a> Ppe<'a> {
             // in-flight counter are updated in an order that never lets another
             // PPE observe "nothing in flight" while this state is still invisible.
             while let Ok(t) = rx.try_recv() {
-                let records = t.payload.records(problem);
+                let records = self.records();
                 let name = if t.election { "election_in" } else { "transfer_in" };
                 obs::instant(name, track, "records", records);
                 self.adopt(&mut search, t);
@@ -686,46 +594,40 @@ impl<'a> Ppe<'a> {
     /// transfer is kept whatever duplicate detection says (see
     /// [`DupFilter::admit_transfer`]).
     fn adopt<P: FrontierPolicy>(&self, search: &mut PpeSearch<'a, P>, t: Transfer) {
-        let problem = self.problem;
-        let (f, g, h) = t.payload.costs();
+        let (problem, state) = (self.problem, t.state);
+        let (f, g, h) = (state.f(), state.g(), state.h());
         if self.cfg.pruning.upper_bound_pruning && f > self.shared.incumbent_len() {
             search.stats.pruned_upper_bound += 1;
             return;
         }
-        let sig = || t.payload.signature(problem);
-        if !search.dup.admit_transfer(sig, g, t.owned, &mut search.stats) {
+        if !search.dup.admit_transfer(|| state.signature(), g, t.owned, &mut search.stats) {
             return;
         }
         if t.owned && t.election {
             search.stats.election_transfers += 1;
         }
-        if t.payload.is_goal(problem) {
-            self.shared.offer_incumbent(g, || t.payload.to_state(problem).to_schedule(problem));
+        if state.is_goal(problem) {
+            self.shared.offer_incumbent(g, || state.to_schedule(problem));
         }
-        let id = match t.payload {
-            Payload::Full(state) => search.arena.adopt_snapshot(state),
-            Payload::Chain(chain) => search.arena.adopt_chain(&chain),
-        };
+        let id = search.arena.adopt_snapshot(state);
         search.push(id, f, h, f);
     }
 
     /// The communication phase: the best-state election, then round-robin
     /// load sharing of surplus states to deficit neighbours.
     fn communicate<P: FrontierPolicy>(&self, search: &mut PpeSearch<'a, P>) {
-        let (problem, shared, neighbors) = (self.problem, self.shared, self.neighbors);
+        let (shared, neighbors) = (self.shared, self.neighbors);
         let track = search.track();
         match self.cfg.duplicate_detection {
             DuplicateDetection::Local => {
                 // The paper's election: offer a *copy* of this PPE's best
                 // state to every neighbour (each receiver keeps or drops it
-                // through its own duplicate detection).  A shallow state
-                // ships as its chain without materialising it, a deep one as
-                // a single snapshot.
+                // through its own duplicate detection).
                 if let Some(best) = search.policy.peek() {
-                    let payload = extract_payload(&mut search.arena, best.id);
+                    let best = search.arena.materialise_owned(best.id);
                     for &nb in neighbors {
-                        let payload = payload.clone();
-                        self.send(nb, Transfer { payload, owned: false, election: true });
+                        let state = best.clone();
+                        self.send(nb, Transfer { state, owned: false, election: true });
                     }
                     obs::instant("election_send", track, "copies", neighbors.len() as u64);
                 }
@@ -758,9 +660,8 @@ impl<'a> Ppe<'a> {
                                 break;
                             }
                             let e = search.policy.pop().expect("peeked a qualifying state above");
-                            let payload =
-                                extract_owned(problem, &mut search.arena, &mut search.dup, e.id);
-                            self.send(nb, Transfer { payload, owned: true, election: true });
+                            let state = extract_owned(&mut search.arena, &mut search.dup, e.id);
+                            self.send(nb, Transfer { state, owned: true, election: true });
                             shipped += 1;
                         }
                         obs::instant("election_send", track, "states", shipped);
@@ -795,22 +696,26 @@ impl<'a> Ppe<'a> {
             search.push(k.id, k.f, k.h, k.value);
         }
         for (i, &sid) in outgoing.iter().enumerate() {
-            // Chain-on-send: a shallow state leaves as its delta chain, a
-            // deep one as a snapshot.  Shipping transfers ownership (see
-            // `DupFilter::release`): the receiver force-inserts it, so the
-            // sole live copy of a claimed signature is never dropped by both
-            // sides of an exchange.
-            let payload = extract_owned(problem, &mut search.arena, &mut search.dup, sid);
+            // Shipping transfers ownership (see `DupFilter::release`): the
+            // receiver force-inserts it, so the sole live copy of a claimed
+            // signature is never dropped by both sides of an exchange.
+            let state = extract_owned(&mut search.arena, &mut search.dup, sid);
             let to = deficits[i % deficits.len()];
-            self.send(to, Transfer { payload, owned: true, election: false });
+            self.send(to, Transfer { state, owned: true, election: false });
         }
         obs::instant("load_share", track, "states", outgoing.len() as u64);
+    }
+
+    /// The channel footprint of one shipped state, in the `in_flight`
+    /// gauge's unit: one fixed-size record per node, `v`.
+    fn records(&self) -> u64 {
+        self.problem.num_nodes() as u64
     }
 
     /// Ships `t` to PPE `to`, counting its records in flight until the
     /// receiver takes it in (see [`Shared::in_flight_add`]).
     fn send(&self, to: usize, t: Transfer) {
-        let records = t.payload.records(self.problem);
+        let records = self.records();
         self.shared.in_flight_add(records);
         if self.txs[to].send(t).is_err() {
             self.shared.in_flight.fetch_sub(records as i64, Ordering::SeqCst);
@@ -818,39 +723,27 @@ impl<'a> Ppe<'a> {
     }
 }
 
-/// Builds the wire form of state `id` without disturbing the sender's store:
-/// a shallow state leaves as its raw chain, a deep one (past
-/// [`SNAPSHOT_DEPTH_THRESHOLD`]) as a materialised snapshot clone.
-fn extract_payload(arena: &mut StateArena<'_>, id: StateId) -> Payload {
-    if arena.record_depth(id) <= SNAPSHOT_DEPTH_THRESHOLD {
-        Payload::Chain(arena.extract_chain(id))
-    } else {
-        Payload::Full(arena.materialise_owned(id))
-    }
-}
-
-/// Pops state `id` out of the sender's store for an ownership transfer (wire
-/// form per [`extract_payload`]).  The sender's duplicate bookkeeping forgets
-/// the signature (`Local` mode only — in `ShardedGlobal` mode the claim
-/// travels with the state) and the state's arena records are released: from
-/// here on the payload in the channel is the state's only live copy.
+/// Pops state `id` out of the sender's store for an ownership transfer, as
+/// a materialised snapshot.  The sender's duplicate bookkeeping forgets the
+/// signature (`Local` mode only — in `ShardedGlobal` mode the claim travels
+/// with the state) and the state's arena records are released: from here on
+/// the snapshot in the channel is the state's only live copy.
 fn extract_owned(
-    problem: &SchedulingProblem,
     arena: &mut StateArena<'_>,
     dup: &mut DupFilter<'_>,
     id: StateId,
-) -> Payload {
-    let payload = extract_payload(arena, id);
-    dup.release(|| payload.signature(problem));
+) -> SearchState {
+    let state = arena.materialise_owned(id);
+    dup.release(|| state.signature());
     arena.release(id);
-    payload
+    state
 }
-
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use optsched_core::engine::OpenEntry;
+    use optsched_core::state::ChildDelta;
     use optsched_core::{AStarScheduler, PruningConfig, SearchLimits};
     use optsched_procnet::{ProcNetwork, Topology};
     use optsched_taskgraph::{paper_example_dag, GraphBuilder};

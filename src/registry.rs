@@ -11,7 +11,7 @@
 
 use optsched_core::{
     AEpsScheduler, AStarScheduler, ChenYuScheduler, ExhaustiveScheduler, SchedulingProblem,
-    SearchConfig, SearchOutcome, SearchResult, SearchStats, WAStarScheduler,
+    SearchConfig, SearchOutcome, SearchResult, WAStarScheduler,
 };
 use optsched_listsched::upper_bound_schedule;
 use optsched_parallel::{ParallelAStarScheduler, ParallelConfig, ParallelSearchResult};
@@ -76,22 +76,6 @@ pub fn parallel_to_search_result(r: &ParallelSearchResult) -> SearchResult {
         outcome: r.outcome.clone(),
         stats: r.total_stats(),
         elapsed: r.elapsed,
-    }
-}
-
-/// Formats the arena path-cache hit rate (`path_cache_hits` over
-/// materialisations) for report lines; `"n/a"` when the run never
-/// materialised a state.
-pub fn path_cache_hit_rate(stats: &SearchStats) -> String {
-    if stats.materialisations == 0 {
-        "n/a".to_string()
-    } else {
-        format!(
-            "{:.1}% ({} of {})",
-            stats.path_cache_hits as f64 / stats.materialisations as f64 * 100.0,
-            stats.path_cache_hits,
-            stats.materialisations
-        )
     }
 }
 
@@ -278,14 +262,6 @@ mod tests {
                 stats.generated
             );
         }
-    }
-
-    #[test]
-    fn path_cache_hit_rate_formats() {
-        let none = SearchStats::default();
-        assert_eq!(path_cache_hit_rate(&none), "n/a");
-        let some = SearchStats { materialisations: 8, path_cache_hits: 2, ..Default::default() };
-        assert_eq!(path_cache_hit_rate(&some), "25.0% (2 of 8)");
     }
 
     #[test]

@@ -166,10 +166,10 @@ fn serde_round_trips_across_crates() {
 }
 
 /// A budget stops a search that cannot finish, on the clock's cadence path:
-/// budgets above 16 ms read the clock every 1024 expansions, not on every
-/// one.  Serial A\* runs for far more than seconds on this v = 16 graph on
-/// 4 fully connected processors (the budget caps the instance, it is not
-/// shrunk).  Under a 40 ms budget, serial `astar` and `parallel` at q = 2
+/// whatever the budget, the clock is read on the first expansion and on
+/// every 64th.  Serial A\* runs for far more than seconds on this v = 16
+/// graph on 4 fully connected processors (the budget caps the instance, it
+/// is not shrunk).  Under a 40 ms budget, serial `astar` and `parallel` at q = 2
 /// each return a validated schedule no longer than the list schedule, as
 /// `LimitReached`, within the budget plus a second.
 #[test]

@@ -204,17 +204,17 @@ proptest! {
                 }
                 // Prune: drop the handle (reclamation may cascade).
                 2 => arena.release(handles.swap_remove(pick)),
-                // Ship: extract the wire chain, release the local copy, adopt
-                // it back — a loop-back transfer through the chain-shipping
-                // wire format.  (Depth-0 states are never shipped.)
+                // Ship: materialise a snapshot, release the local copy, adopt
+                // it back — a loop-back transfer through the wire form, one
+                // record per ship.  (Depth-0 states are never shipped.)
                 _ => {
                     let id = handles[pick];
                     if arena.materialise(id).depth() > 0 {
-                        let wire = arena.extract_chain(id);
+                        let wire = arena.materialise_owned(id);
                         handles.swap_remove(pick);
                         arena.release(id);
-                        handles.push(arena.adopt_chain(&wire));
-                        allocs += wire.len() as u64;
+                        handles.push(arena.adopt_snapshot(wire));
+                        allocs += 1;
                     }
                 }
             }
@@ -635,92 +635,6 @@ proptest! {
                 k, mg
             );
         }
-    }
-
-    /// Arena compaction under random grow/release schedules: every live id
-    /// materialises to the same state after `compact()` as before it, and
-    /// draining the arena back to its root then compacting shrinks the slot
-    /// capacity — after which the arena still accepts and materialises new
-    /// children correctly.
-    #[test]
-    fn arena_compaction_preserves_live_states_and_shrinks(
-        (nodes, ccr_idx, seed) in dag_params(),
-        op_seed in any::<u64>(),
-    ) {
-        use optsched::core::engine::StateArena;
-        use optsched::core::SearchState;
-        use rand::Rng;
-
-        let g = make_dag(nodes, ccr_idx, seed);
-        let problem = SchedulingProblem::new(g, ProcNetwork::fully_connected(2));
-        let h = HeuristicKind::PaperStaticLevel;
-        let mut arena = StateArena::new(&problem, ArenaConfig);
-        let root = arena.insert_root(SearchState::initial(&problem));
-        let mut handles = vec![root];
-
-        let mut op_rng = StdRng::seed_from_u64(op_seed);
-        for _ in 0..60 {
-            let op = op_rng.next_u32();
-            if op % 3 < 2 {
-                // Grow: store a child of a random held state.
-                let pick = (op as usize / 4) % handles.len();
-                let parent = arena.materialise(handles[pick]).clone();
-                let ready = parent.ready_nodes(&problem);
-                if !ready.is_empty() {
-                    let n = ready[(op as usize / 8) % ready.len()];
-                    let p = ProcId((op / 16) % problem.num_procs() as u32);
-                    let d = parent.peek_child(&problem, n, p, h);
-                    handles.push(arena.insert_child(handles[pick], &d));
-                }
-            } else if handles.len() > 1 {
-                // Release a random non-root handle.
-                let pick = 1 + (op as usize / 4) % (handles.len() - 1);
-                arena.release(handles.swap_remove(pick));
-            }
-        }
-
-        // Snapshot every live state, compact, verify nothing moved.
-        let expected: Vec<_> = handles
-            .iter()
-            .map(|&id| {
-                let s = arena.materialise(id);
-                (id, s.signature(), s.g())
-            })
-            .collect();
-        let cap_before = arena.capacity();
-        arena.compact();
-        prop_assert!(arena.capacity() <= cap_before, "compaction never grows the arena");
-        for (id, sig, cost) in &expected {
-            let s = arena.materialise(*id);
-            prop_assert_eq!(&s.signature(), sig, "live id survived with a different state");
-            prop_assert_eq!(s.g(), *cost);
-        }
-
-        // Drain to the root and compact: the capacity collapses with it.
-        let cap_full = arena.capacity();
-        for id in handles.drain(1..) {
-            arena.release(id);
-        }
-        arena.compact();
-        prop_assert_eq!(arena.live_records(), 1, "only the pinned root survives the drain");
-        prop_assert!(
-            arena.capacity() < cap_full || cap_full <= 2,
-            "a drained arena must shrink ({} -> {})",
-            cap_full,
-            arena.capacity()
-        );
-
-        // And the compacted arena still works end to end.
-        let root_state = arena.materialise(root).clone();
-        let ready = root_state.ready_nodes(&problem);
-        prop_assert!(!ready.is_empty());
-        let d = root_state.peek_child(&problem, ready[0], ProcId(0), h);
-        let fresh = arena.insert_child(root, &d);
-        prop_assert_eq!(
-            arena.materialise(fresh).signature(),
-            root_state.apply_delta(&problem, &d).signature(),
-            "a post-compaction insert materialises correctly"
-        );
     }
 
     /// A generous `max_age` is behaviourally identical to no TTL: the same
