@@ -544,12 +544,13 @@ mod tests {
         assert_eq!(arena.peak_live_records(), 4);
     }
 
-    /// Snapshot adoption stores a deep transfer as ONE record on top of the
-    /// initial root an empty arena seeds into slot 0; descendants replay from
-    /// the snapshot, and releasing it reclaims one record — no refcount
-    /// cascade through a chain.
+    /// Snapshot adoption stores a deep transfer as ONE record, descendants
+    /// replay from it, extracting a descendant (`materialise_owned`, the send
+    /// path) splices the snapshot and the deltas above it into one state
+    /// that a fresh receiver adopts as one record, and releasing it reclaims
+    /// one record — no refcount cascade through a chain.
     #[test]
-    fn adopt_snapshot_costs_one_record() {
+    fn adopt_snapshot_costs_one_record_and_splices_on_extract() {
         let mut rng = StdRng::seed_from_u64(11);
         let graph = generate_random_dag(
             &RandomDagConfig { nodes: 8, ccr: 1.0, ..Default::default() },
@@ -568,7 +569,6 @@ mod tests {
         let mut delta = arena(&problem);
         let id = delta.adopt_snapshot(state.clone());
         assert_eq!(delta.live_records(), 2, "the pinned initial root plus one snapshot");
-        assert_eq!(delta.materialise(0).depth(), 0, "slot 0 is the seeded initial state");
         assert_eq!(delta.materialise(id).signature(), state.signature());
 
         // A descendant replays from the snapshot, not the distant root.
@@ -580,6 +580,15 @@ mod tests {
         assert_eq!(delta.replayed_deltas() - replayed_before, 1, "one delta above the snapshot");
         assert_eq!(child_sig, state.apply_delta(&problem, &d).signature());
 
+        // Extraction splices the snapshot and the delta above it into one
+        // state: a fresh receiver adopts it as one record and rebuilds it.
+        let wire = delta.materialise_owned(child);
+        assert_eq!(wire.depth(), state.depth() + 1);
+        let mut receiver = arena(&problem);
+        let rid = receiver.adopt_snapshot(wire);
+        assert_eq!(receiver.live_records(), 2, "the receiver's pinned root plus one snapshot");
+        assert_eq!(receiver.materialise(rid).signature(), child_sig);
+
         // Releasing the child reclaims the snapshot with no cascade beyond it.
         delta.release(child);
         delta.release(id);
@@ -589,5 +598,27 @@ mod tests {
         let mut fresh = arena(&problem);
         assert_eq!(fresh.adopt_snapshot(SearchState::initial(&problem)), 0);
         assert_eq!(fresh.live_records(), 1);
+    }
+
+    /// Adoption is total: an empty arena seeds its own initial root into
+    /// slot 0 before it stores the adopted state above it.
+    #[test]
+    fn adopt_seeds_an_empty_delta_arena_with_the_initial_root() {
+        let problem = example_problem();
+        let h = HeuristicKind::PaperStaticLevel;
+        let deep = SearchState::initial(&problem)
+            .schedule_node(&problem, optsched_taskgraph::NodeId(0), ProcId(0), h)
+            .schedule_node(&problem, optsched_taskgraph::NodeId(1), ProcId(1), h);
+
+        let mut arena = arena(&problem);
+        assert!(arena.is_empty());
+        let id = arena.adopt_snapshot(deep.clone());
+        assert_ne!(id, 0, "the adopted state does not take the root's slot");
+        assert_eq!(arena.materialise(id).signature(), deep.signature());
+        assert_eq!(arena.materialise(0).depth(), 0, "slot 0 is the seeded initial state");
+        assert_eq!(
+            arena.materialise(0).signature(),
+            SearchState::initial(&problem).signature()
+        );
     }
 }
